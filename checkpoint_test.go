@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/simcache"
 )
 
@@ -132,47 +133,75 @@ func TestCheckpointDeterminism(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsMismatch pins the refusal paths: wrong model
-// family, wrong configuration, wrong workload, and conflicting
-// workload fields must all fail loudly rather than silently skew.
+// TestCheckpointRejectsMismatch pins the refusal paths on every
+// recorder family: wrong model family, wrong configuration, wrong
+// workload, and conflicting workload fields must all fail loudly
+// rather than silently skew.
 func TestCheckpointRejectsMismatch(t *testing.T) {
-	m := SimAlpha()
-	rec := m.(core.CheckpointRecorder)
-	w, _ := WorkloadByName("C-Ca")
-	states, err := rec.RecordCheckpoints(w, []uint64{1_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := states[0]
+	for _, fam := range []struct {
+		machine string
+		build   func() Machine
+		// other is a machine of a different model family; sibling is
+		// one of the same family with a different warm-relevant
+		// configuration.
+		other, sibling func() Machine
+	}{
+		{"sim-alpha", SimAlpha, SimOutorder, SimStripped},
+		{"sim-outorder", SimOutorder, SimInorder, func() Machine {
+			cfg := model.DefaultRUUConfig()
+			cfg.Hier.L1D.SizeBytes /= 2
+			return model.NewRUU(cfg)
+		}},
+		{"sim-inorder", SimInorder, SimAlpha, func() Machine {
+			cfg := model.DefaultInorderConfig()
+			cfg.BimodalBits--
+			return model.NewInorder(cfg)
+		}},
+	} {
+		t.Run(fam.machine, func(t *testing.T) {
+			m := fam.build()
+			rec := m.(core.CheckpointRecorder)
+			w, _ := WorkloadByName("C-Ca")
+			states, err := rec.RecordCheckpoints(w, []uint64{1_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := w
+			restored.MaxInstructions = 1_000
+			restored.Checkpoint = states[0]
 
-	restored := w
-	restored.MaxInstructions = 1_000
-	restored.Checkpoint = st
+			other, _ := WorkloadByName("E-I")
+			other.MaxInstructions = 1_000
+			other.Checkpoint = states[0]
+			withWarmFF := restored
+			withWarmFF.WarmFastForward = 10
+			withFF := restored
+			withFF.FastForward = 10
+			intoTrace := restored
+			intoTrace.NewSource = w.Source
+			plan := DefaultSamplePlan(10_000)
+			sampledWarmFF := w
+			sampledWarmFF.MaxInstructions = 10_000
+			sampledWarmFF.Sample = &plan
+			sampledWarmFF.WarmFastForward = 10
 
-	// Wrong model family.
-	if _, err := SimOutorder().Run(restored); err == nil {
-		t.Error("ruu machine accepted an alpha checkpoint")
-	}
-	// Wrong configuration (same family).
-	if _, err := SimStripped().Run(restored); err == nil {
-		t.Error("sim-stripped accepted a sim-alpha checkpoint")
-	}
-	// Wrong workload.
-	other, _ := WorkloadByName("E-I")
-	other.MaxInstructions = 1_000
-	other.Checkpoint = st
-	if _, err := m.Run(other); err == nil {
-		t.Error("machine accepted a checkpoint recorded for a different workload")
-	}
-	// Conflicting fields.
-	bad := restored
-	bad.WarmFastForward = 10
-	if _, err := m.Run(bad); err == nil {
-		t.Error("machine accepted Checkpoint together with WarmFastForward")
-	}
-	bad = restored
-	bad.FastForward = 10
-	if _, err := m.Run(bad); err == nil {
-		t.Error("machine accepted Checkpoint together with FastForward")
+			for _, tc := range []struct {
+				name string
+				m    Machine
+				w    Workload
+			}{
+				{"wrong model family", fam.other(), restored},
+				{"wrong configuration", fam.sibling(), restored},
+				{"wrong workload", m, other},
+				{"Checkpoint with WarmFastForward", m, withWarmFF},
+				{"Checkpoint with FastForward", m, withFF},
+				{"Checkpoint into a NewSource workload", m, intoTrace},
+				{"Sample with WarmFastForward", m, sampledWarmFF},
+			} {
+				if _, err := tc.m.Run(tc.w); err == nil {
+					t.Errorf("%s: %s accepted the workload", tc.name, tc.m.Name())
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package alpha
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -10,15 +8,20 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/isa"
 	"repro/internal/predict"
-	"repro/internal/vm"
 )
 
 // Compat fingerprints the warm-relevant configuration: the memory
 // hierarchy, the warmed-predictor geometry, and the mapping policy.
 // Machines that differ only in core parameters (ROB size, issue
-// widths, latencies, feature toggles) share a fingerprint, so one
-// checkpoint library serves a whole design-space sweep over them.
-// The rendering is hashed so the tag is a fixed-width opaque token —
+// widths, latencies) share a fingerprint, so one checkpoint library
+// serves a whole design-space sweep over them. The tag does not cover
+// everything the warmer reads: Feat.IPrefetch and FetchWidth shape the
+// warmed I-cache and the line and way predictors, so machines that
+// differ in them (sim-alpha with and without I-prefetch) share a tag
+// yet record different blobs at the same position. Each machine's
+// restore still equals its own cold warmed-forward run; restoring the
+// other's blob starts from the recording machine's warm state. The
+// rendering is hashed so the tag is a fixed-width opaque token —
 // usable in filenames and log lines, never colliding on a shared
 // struct-rendering prefix.
 func (m *Machine) Compat() string {
@@ -29,18 +32,44 @@ func (m *Machine) Compat() string {
 	}{m.cfg.Hier, m.cfg.Tour, m.cfg.NewMapper().Name()})))
 }
 
-// warmer returns the functional-warming hook: every record is run
-// through the caches (per-line on the I-side, as fetch does) and the
-// direction predictor, and a warm I-miss triggers the same sequential
-// line prefetches the timed front end issues — without them, warmed
+// warmState holds what functional warming keeps warm in the
+// 21264-family models — the memory hierarchy and the tournament, line
+// and way predictors — together with the configuration the pipeline
+// and the warmer read. newSim embeds it; the record pass builds it
+// alone.
+type warmState struct {
+	cfg  Config
+	hier *cache.Hierarchy
+	tour *predict.Tournament
+	line *predict.Line
+	way  *predict.Way
+}
+
+func newWarmState(cfg Config, mem cache.Memory) warmState {
+	return warmState{
+		cfg:  cfg,
+		hier: cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem),
+		tour: predict.NewTournament(cfg.Tour),
+		line: predict.NewLine(cfg.Hier.L1I.SizeBytes / 16),
+		way:  predict.NewWay(cfg.Hier.L1I.Sets()),
+	}
+}
+
+// Hierarchy implements core.Warm.
+func (ws *warmState) Hierarchy() *cache.Hierarchy { return ws.hier }
+
+// Warmer implements core.Warm: every record is run through the caches
+// (per-line on the I-side, as fetch does) and the direction
+// predictor, and a warm I-miss triggers the same sequential line
+// prefetches the timed front end issues — without them, warmed
 // I-cache contents drift measurably from timed history (both the
 // extra coverage and the pollution are missing) and checkpointed
 // sampling reads biased-fast. This single function defines what "warm
-// state" means for the 21264-family models — recording, sampled-run
-// skips, and warm fast-forward all use it, which is what makes a
-// restored checkpoint indistinguishable from a cold warmed-forward
-// run.
-func warmer(cfg Config, hier *cache.Hierarchy, tour *predict.Tournament, line *predict.Line, way *predict.Way) func(cpu.Record) {
+// state" means for the 21264-family models.
+func (ws *warmState) Warmer() func(cpu.Record) {
+	hier, tour, line, way := ws.hier, ws.tour, ws.line, ws.way
+	iprefetch, fetchWidth := ws.cfg.Feat.IPrefetch, ws.cfg.FetchWidth
+	blockBytes := uint64(ws.cfg.Hier.L1I.BlockBytes)
 	warmLine := uint64(1) << 63
 	// Fetch-packet reconstruction for line/way-predictor training:
 	// packets are maximal runs of sequential instructions within one
@@ -55,9 +84,9 @@ func warmer(cfg Config, hier *cache.Hierarchy, tour *predict.Tournament, line *p
 	var pktPrev cpu.Record
 	return func(rec cpu.Record) {
 		if ln := rec.PC &^ 63; ln != warmLine {
-			if miss := hier.WarmInst(rec.PC); miss && cfg.Feat.IPrefetch {
-				for i := 1; i <= 4; i++ {
-					hier.WarmPrefetchInst(rec.PC + uint64(i*cfg.Hier.L1I.BlockBytes))
+			if miss := hier.WarmInst(rec.PC); miss && iprefetch {
+				for i := uint64(1); i <= 4; i++ {
+					hier.WarmPrefetchInst(rec.PC + i*blockBytes)
 				}
 			}
 			warmLine = ln
@@ -65,7 +94,7 @@ func warmer(cfg Config, hier *cache.Hierarchy, tour *predict.Tournament, line *p
 		switch {
 		case pktLen == 0:
 			pktStart, pktLen = rec.PC, 1
-		case pktLen < cfg.FetchWidth &&
+		case pktLen < fetchWidth &&
 			!(pktPrev.IsBranch() && pktPrev.Taken) &&
 			rec.PC == pktPrev.PC+isa.WordBytes &&
 			rec.PC&^15 == pktStart&^15:
@@ -86,107 +115,27 @@ func warmer(cfg Config, hier *cache.Hierarchy, tour *predict.Tournament, line *p
 	}
 }
 
-// RecordCheckpoints implements core.CheckpointRecorder: one
-// functional pass over the workload, warming caches and the
-// tournament predictor exactly as a timed run's skip path would, with
-// a state snapshot at each requested position (dynamic instructions
-// past the workload's FastForward point, strictly ascending).
-func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	if len(positions) == 0 {
-		return nil, fmt.Errorf("alpha: no checkpoint positions requested")
-	}
-	for i := 1; i < len(positions); i++ {
-		if positions[i] <= positions[i-1] {
-			return nil, fmt.Errorf("alpha: checkpoint positions not strictly ascending at %d", i)
-		}
-	}
-	if w.NewSource != nil || w.Prog == nil {
-		return nil, fmt.Errorf("alpha: checkpoints require a program workload, not a trace source")
-	}
-	c := cpu.New(w.Prog)
-	cpu.Skip(c, w.FastForward)
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	tour := predict.NewTournament(m.cfg.Tour)
-	line := predict.NewLine(m.cfg.Hier.L1I.SizeBytes / 16)
-	way := predict.NewWay(m.cfg.Hier.L1I.Sets())
-	warm := warmer(m.cfg, hier, tour, line, way)
-	compat := m.Compat()
-
-	out := make([]*checkpoint.State, 0, len(positions))
-	var consumed uint64
-	for _, pos := range positions {
-		for consumed < pos {
-			rec, ok := c.Next()
-			if !ok {
-				return nil, fmt.Errorf("alpha: %s: stream ended at %d instructions, checkpoint wanted %d",
-					w.Name, consumed, pos)
-			}
-			warm(rec)
-			consumed++
-		}
-		cs, err := c.Export()
-		if err != nil {
-			return nil, fmt.Errorf("alpha: %s: %w", w.Name, err)
-		}
-		hs, err := hier.ExportWarm()
-		if err != nil {
-			return nil, fmt.Errorf("alpha: %s: %w", w.Name, err)
-		}
-		ts := tour.Export()
-		ls := line.Export()
-		ws := way.Export()
-		out = append(out, &checkpoint.State{
-			Model:    checkpoint.ModelAlpha,
-			Machine:  m.cfg.MachineName,
-			Compat:   compat,
-			Workload: w.Name,
-			Position: pos,
-			CPU:      cs,
-			Pages:    c.Mem.ExportPages(),
-			Hier:     hs,
-			Tour:     &ts,
-			Line:     &ls,
-			Way:      &ws,
-		})
-	}
-	return out, nil
+// ExportPredictors implements core.Warm.
+func (ws *warmState) ExportPredictors(st *checkpoint.State) {
+	ts, ls, wy := ws.tour.Export(), ws.line.Export(), ws.way.Export()
+	st.Tour, st.Line, st.Way = &ts, &ls, &wy
 }
 
-// restoreSim builds a sim resuming from a checkpoint: architectural
-// state and memory image from the blob, warmed hierarchy and
-// predictor imported into freshly built structures, timing-only
-// machinery (MAFs, buses, DRAM, the unwarmed predictors) in reset
-// state — exactly where a cold warmed-forward run stands at the same
-// position.
-func (m *Machine) restoreSim(w core.Workload) (*sim, error) {
-	st := w.Checkpoint
-	if err := st.CompatibleWith(checkpoint.ModelAlpha, m.Compat()); err != nil {
-		return nil, err
+// ImportPredictors implements core.Warm.
+func (ws *warmState) ImportPredictors(st *checkpoint.State) error {
+	if err := ws.tour.Import(*st.Tour); err != nil {
+		return err
 	}
-	if st.Workload != w.Name {
-		return nil, fmt.Errorf("alpha: checkpoint recorded workload %q, restoring %q", st.Workload, w.Name)
+	if err := ws.line.Import(*st.Line); err != nil {
+		return err
 	}
-	mem := vm.NewMemory()
-	mem.ImportPages(st.Pages)
-	c := cpu.Restore(w.Prog, mem, st.CPU)
-	var src cpu.Source = c
-	if w.MaxInstructions > 0 {
-		src = &cpu.Limited{Src: c, Max: w.MaxInstructions}
-	}
-	cur := core.NewSampleCursor(w.Sample)
-	s := newSim(m.cfg, m.memory(), cur.Wrap(src))
-	s.cur = cur
-	if err := s.hier.ImportWarm(st.Hier); err != nil {
-		return nil, fmt.Errorf("alpha: restore: %w", err)
-	}
-	if err := s.tour.Import(*st.Tour); err != nil {
-		return nil, fmt.Errorf("alpha: restore: %w", err)
-	}
-	if err := s.line.Import(*st.Line); err != nil {
-		return nil, fmt.Errorf("alpha: restore: %w", err)
-	}
-	if err := s.way.Import(*st.Way); err != nil {
-		return nil, fmt.Errorf("alpha: restore: %w", err)
-	}
-	return s, nil
+	return ws.way.Import(*st.Way)
+}
+
+// RecordCheckpoints implements core.CheckpointRecorder: one
+// functional pass warming the hierarchy and the tournament, line and
+// way predictors exactly as a timed run's skip path would.
+func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
+	ws := newWarmState(m.cfg, m.memory())
+	return core.RecordCheckpoints(m, checkpoint.ModelAlpha, w, positions, &ws)
 }

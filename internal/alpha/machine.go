@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -60,41 +61,10 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Run implements core.Machine.
 func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	if err := w.CheckRestore(); err != nil {
+	s := newSim(m.cfg, m.memory())
+	var err error
+	if s.src, s.cur, err = core.StartRun(m, checkpoint.ModelAlpha, w, &s.warmState); err != nil {
 		return core.RunResult{}, err
-	}
-	var s *sim
-	if w.Checkpoint != nil {
-		var err error
-		if s, err = m.restoreSim(w); err != nil {
-			return core.RunResult{}, err
-		}
-	} else {
-		cur := core.NewSampleCursor(w.Sample)
-		s = newSim(m.cfg, m.memory(), cur.Wrap(w.Source()))
-		s.cur = cur
-	}
-	cur := s.cur
-	cur.SetSync(func(c *events.Collector) {
-		s.hier.FoldMemEvents(c)
-	})
-	// Functional warming: during sampling skips, run every record
-	// through the caches (per-line on the I-side, as fetch does) and
-	// the direction predictor, so measured windows see stale-warm
-	// structures instead of ones frozen at the previous interval.
-	cur.SetWarm(warmer(s.cfg, s.hier, s.tour, s.line, s.way))
-	if w.WarmFastForward > 0 {
-		// Cold half of the checkpoint determinism invariant: consume
-		// the prefix through the warming path, then time the rest.
-		warm := warmer(s.cfg, s.hier, s.tour, s.line, s.way)
-		for i := uint64(0); i < w.WarmFastForward; i++ {
-			rec, ok := s.src.Next()
-			if !ok {
-				return core.RunResult{}, fmt.Errorf("%s/%s: stream ended at %d instructions during warm fast-forward (wanted %d)",
-					m.cfg.MachineName, w.Name, i, w.WarmFastForward)
-			}
-			warm(rec)
-		}
 	}
 	if err := s.run(); err != nil {
 		return core.RunResult{}, fmt.Errorf("%s/%s: %w", m.cfg.MachineName, w.Name, err)
@@ -108,7 +78,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 		Counters:     s.counters(),
 		Breakdown:    &stack,
 	}
-	cur.Finalize(&res, events.ModelAlpha)
+	s.cur.Finalize(&res, events.ModelAlpha)
 	return res, nil
 }
 
@@ -160,13 +130,9 @@ type entry struct {
 
 // sim is the per-run pipeline state.
 type sim struct {
-	cfg  Config
-	src  cpu.Source
-	hier *cache.Hierarchy
+	warmState // cfg, the hierarchy, and the warmed predictors
+	src       cpu.Source
 
-	tour *predict.Tournament
-	line *predict.Line
-	way  *predict.Way
 	ras  *predict.RAS
 	luse *predict.LoadUse
 	stwt *predict.StoreWait
@@ -247,7 +213,7 @@ type sim struct {
 	DebugMispredictPCs map[uint64]uint64
 }
 
-func newSim(cfg Config, mem cache.Memory, src cpu.Source) *sim {
+func newSim(cfg Config, mem cache.Memory) *sim {
 	// A deeper register file lengthens the pipeline: every recovery
 	// that refills the front end pays the extra read stages.
 	if d := cfg.RFReadCycles - 1; d > 0 {
@@ -255,14 +221,8 @@ func newSim(cfg Config, mem cache.Memory, src cpu.Source) *sim {
 		cfg.JmpFlush += d
 		cfg.LoadUseRecovery += d
 	}
-	hier := cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem)
 	return &sim{
-		cfg:       cfg,
-		src:       src,
-		hier:      hier,
-		tour:      predict.NewTournament(cfg.Tour),
-		line:      predict.NewLine(cfg.Hier.L1I.SizeBytes / 16),
-		way:       predict.NewWay(cfg.Hier.L1I.Sets()),
+		warmState: newWarmState(cfg, mem),
 		ras:       predict.NewRAS(cfg.RASEntries),
 		luse:      predict.NewLoadUse(),
 		stwt:      predict.NewStoreWait(),

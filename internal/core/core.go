@@ -3,6 +3,13 @@
 // results. It is the paper's methodology distilled into types — a
 // validation study is a set of (machine, workload) runs whose CPIs
 // are compared against a reference machine's.
+//
+// Starting a run part-way into a workload — restoring a checkpoint,
+// warm fast-forwarding, recording checkpoints, warming through
+// sampling skips — is implemented once, in warmstart.go. A timing
+// model supplies only a Warm over its own long-lived structures (its
+// functional warmer plus export and import of its warmed predictors),
+// its checkpoint family, and its Compat fingerprint.
 package core
 
 import (
@@ -51,28 +58,6 @@ type Workload struct {
 	// MaxInstructions counts only the remainder. Mutually exclusive
 	// with WarmFastForward, NewSource, and FastForward.
 	Checkpoint *checkpoint.State
-}
-
-// CheckRestore validates the restore-related workload fields.
-func (w Workload) CheckRestore() error {
-	if w.WarmFastForward > 0 && w.Sample != nil {
-		return fmt.Errorf("core: workload %s sets both WarmFastForward and Sample", w.Name)
-	}
-	if w.Checkpoint != nil {
-		if w.WarmFastForward > 0 {
-			return fmt.Errorf("core: workload %s sets both Checkpoint and WarmFastForward", w.Name)
-		}
-		if w.NewSource != nil {
-			return fmt.Errorf("core: workload %s restores a checkpoint into a trace source", w.Name)
-		}
-		if w.FastForward > 0 {
-			return fmt.Errorf("core: workload %s sets both Checkpoint and FastForward (the checkpoint position already includes it)", w.Name)
-		}
-		if w.Prog == nil {
-			return fmt.Errorf("core: workload %s restores a checkpoint without a program", w.Name)
-		}
-	}
-	return nil
 }
 
 // Source returns a fresh dynamic instruction stream for the workload.

@@ -1,15 +1,12 @@
 package inorder
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fingerprint"
 	"repro/internal/predict"
-	"repro/internal/vm"
 )
 
 // Compat fingerprints the warm-relevant configuration: the hierarchy,
@@ -22,9 +19,32 @@ func (m *Machine) Compat() string {
 	}{m.cfg.Hier, m.cfg.BimodalBits, m.cfg.NewMapper().Name()})))
 }
 
-// warmer returns the functional-warming hook: caches plus the
-// (history-free) bimodal predictor, exactly as Run's skip path warms.
-func warmer(hier *cache.Hierarchy, bimodal []predict.SatCounter) func(cpu.Record) {
+// warmState holds what functional warming keeps warm in the in-order
+// model: the memory hierarchy and the bimodal table. Run and the
+// record pass both build it with newWarmState.
+type warmState struct {
+	hier    *cache.Hierarchy
+	bimodal []predict.SatCounter
+}
+
+func newWarmState(cfg Config, mem cache.Memory) warmState {
+	bimodal := make([]predict.SatCounter, 1<<cfg.BimodalBits)
+	for i := range bimodal {
+		bimodal[i] = predict.NewSatCounter(2, 1)
+	}
+	return warmState{
+		hier:    cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem),
+		bimodal: bimodal,
+	}
+}
+
+// Hierarchy implements core.Warm.
+func (ws *warmState) Hierarchy() *cache.Hierarchy { return ws.hier }
+
+// Warmer implements core.Warm: caches plus the (history-free) bimodal
+// predictor, trained as the timed loop trains it.
+func (ws *warmState) Warmer() func(cpu.Record) {
+	hier, bimodal := ws.hier, ws.bimodal
 	warmLine := uint64(1) << 63
 	return func(rec cpu.Record) {
 		if line := rec.PC &^ 63; line != warmLine {
@@ -41,91 +61,18 @@ func warmer(hier *cache.Hierarchy, bimodal []predict.SatCounter) func(cpu.Record
 	}
 }
 
-func newBimodal(bits int) []predict.SatCounter {
-	t := make([]predict.SatCounter, 1<<bits)
-	for i := range t {
-		t[i] = predict.NewSatCounter(2, 1)
-	}
-	return t
+// ExportPredictors implements core.Warm.
+func (ws *warmState) ExportPredictors(st *checkpoint.State) {
+	st.Bimodal = predict.ExportSat(ws.bimodal)
+}
+
+// ImportPredictors implements core.Warm.
+func (ws *warmState) ImportPredictors(st *checkpoint.State) error {
+	return predict.ImportSat(ws.bimodal, st.Bimodal)
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder.
 func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	if len(positions) == 0 {
-		return nil, fmt.Errorf("inorder: no checkpoint positions requested")
-	}
-	for i := 1; i < len(positions); i++ {
-		if positions[i] <= positions[i-1] {
-			return nil, fmt.Errorf("inorder: checkpoint positions not strictly ascending at %d", i)
-		}
-	}
-	if w.NewSource != nil || w.Prog == nil {
-		return nil, fmt.Errorf("inorder: checkpoints require a program workload, not a trace source")
-	}
-	c := cpu.New(w.Prog)
-	cpu.Skip(c, w.FastForward)
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	bimodal := newBimodal(m.cfg.BimodalBits)
-	warm := warmer(hier, bimodal)
-	compat := m.Compat()
-
-	out := make([]*checkpoint.State, 0, len(positions))
-	var consumed uint64
-	for _, pos := range positions {
-		for consumed < pos {
-			rec, ok := c.Next()
-			if !ok {
-				return nil, fmt.Errorf("inorder: %s: stream ended at %d instructions, checkpoint wanted %d",
-					w.Name, consumed, pos)
-			}
-			warm(rec)
-			consumed++
-		}
-		cs, err := c.Export()
-		if err != nil {
-			return nil, fmt.Errorf("inorder: %s: %w", w.Name, err)
-		}
-		hs, err := hier.ExportWarm()
-		if err != nil {
-			return nil, fmt.Errorf("inorder: %s: %w", w.Name, err)
-		}
-		out = append(out, &checkpoint.State{
-			Model:    checkpoint.ModelInorder,
-			Machine:  m.cfg.MachineName,
-			Compat:   compat,
-			Workload: w.Name,
-			Position: pos,
-			CPU:      cs,
-			Pages:    c.Mem.ExportPages(),
-			Hier:     hs,
-			Bimodal:  predict.ExportSat(bimodal),
-		})
-	}
-	return out, nil
-}
-
-// restore rebuilds the model's state from a checkpoint: a restored
-// memory image and CPU, a hierarchy and bimodal table imported into
-// fresh structures.
-func (m *Machine) restore(w core.Workload, hier *cache.Hierarchy, bimodal []predict.SatCounter) (cpu.Source, error) {
-	st := w.Checkpoint
-	if err := st.CompatibleWith(checkpoint.ModelInorder, m.Compat()); err != nil {
-		return nil, err
-	}
-	if st.Workload != w.Name {
-		return nil, fmt.Errorf("inorder: checkpoint recorded workload %q, restoring %q", st.Workload, w.Name)
-	}
-	mem := vm.NewMemory()
-	mem.ImportPages(st.Pages)
-	c := cpu.Restore(w.Prog, mem, st.CPU)
-	if err := hier.ImportWarm(st.Hier); err != nil {
-		return nil, fmt.Errorf("inorder: restore: %w", err)
-	}
-	if err := predict.ImportSat(bimodal, st.Bimodal); err != nil {
-		return nil, fmt.Errorf("inorder: restore: %w", err)
-	}
-	if w.MaxInstructions > 0 {
-		return &cpu.Limited{Src: c, Max: w.MaxInstructions}, nil
-	}
-	return c, nil
+	ws := newWarmState(m.cfg, m.memory())
+	return core.RecordCheckpoints(m, checkpoint.ModelInorder, w, positions, &ws)
 }

@@ -16,8 +16,8 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/events"
 	"repro/internal/isa"
@@ -90,22 +90,12 @@ func (m *Machine) Name() string { return m.cfg.MachineName }
 // (in-order machines expose full latency), plus memory and
 // misprediction stalls.
 func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	if err := w.CheckRestore(); err != nil {
+	ws := newWarmState(m.cfg, m.memory())
+	src, cur, err := core.StartRun(m, checkpoint.ModelInorder, w, &ws)
+	if err != nil {
 		return core.RunResult{}, err
 	}
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	bimodal := newBimodal(m.cfg.BimodalBits)
-	cur := core.NewSampleCursor(w.Sample)
-	var src cpu.Source
-	if w.Checkpoint != nil {
-		restored, err := m.restore(w, hier, bimodal)
-		if err != nil {
-			return core.RunResult{}, err
-		}
-		src = cur.Wrap(restored)
-	} else {
-		src = cur.Wrap(w.Source())
-	}
+	hier, bimodal := ws.hier, ws.bimodal
 
 	var cycle, retired uint64
 	// col accumulates typed event counts and CPI-stack attribution
@@ -113,25 +103,6 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	// blocking in-order pipe, attribution is direct: every stall the
 	// model adds to the cycle count is charged where it is added.
 	var col events.Collector
-	cur.SetSync(func(c *events.Collector) {
-		hier.FoldMemEvents(c)
-	})
-	// Functional warming: caches and the (history-free) bimodal
-	// predictor stay warm through sampling skips.
-	cur.SetWarm(warmer(hier, bimodal))
-	if w.WarmFastForward > 0 {
-		// Cold half of the checkpoint determinism invariant: consume
-		// the prefix through the warming path, then time the rest.
-		warm := warmer(hier, bimodal)
-		for i := uint64(0); i < w.WarmFastForward; i++ {
-			rec, ok := src.Next()
-			if !ok {
-				return core.RunResult{}, fmt.Errorf("%s/%s: stream ended at %d instructions during warm fast-forward (wanted %d)",
-					m.cfg.MachineName, w.Name, i, w.WarmFastForward)
-			}
-			warm(rec)
-		}
-	}
 	// regReadyAt holds the cycle each architectural register's value
 	// becomes available; in-order issue waits for sources.
 	var regReadyAt [2][isa.NumRegs]uint64

@@ -149,9 +149,6 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	if w.WarmFastForward > 0 {
 		return core.RunResult{}, fmt.Errorf("%s: analytical backend does not support warm fast-forward", m.cfg.MachineName)
 	}
-	if err := w.CheckRestore(); err != nil {
-		return core.RunResult{}, err
-	}
 	if err := m.cfg.Check(); err != nil {
 		return core.RunResult{}, err
 	}

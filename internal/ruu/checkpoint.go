@@ -1,14 +1,11 @@
 package ruu
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fingerprint"
-	"repro/internal/vm"
 )
 
 // Compat fingerprints the warm-relevant configuration. The RUU model
@@ -22,9 +19,25 @@ func (m *Machine) Compat() string {
 	}{m.cfg.Hier, m.cfg.NewMapper().Name()})))
 }
 
-// warmer returns the functional-warming hook: caches only, per-line
-// on the I-side, exactly as Run's sampling-skip path warms.
-func warmer(hier *cache.Hierarchy) func(cpu.Record) {
+// warmState holds what functional warming keeps warm in the RUU
+// model: the memory hierarchy only. newSim embeds it; the record pass
+// builds it alone.
+type warmState struct {
+	hier *cache.Hierarchy
+}
+
+func newWarmState(cfg Config, mem cache.Memory) warmState {
+	return warmState{hier: cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem)}
+}
+
+// Hierarchy implements core.Warm.
+func (ws *warmState) Hierarchy() *cache.Hierarchy { return ws.hier }
+
+// Warmer implements core.Warm: caches only (see Compat for why the
+// gshare predictor stays cold), per-line on the I-side, as fetch
+// accesses them.
+func (ws *warmState) Warmer() func(cpu.Record) {
+	hier := ws.hier
 	warmLine := uint64(1) << 63
 	return func(rec cpu.Record) {
 		if line := rec.PC &^ 63; line != warmLine {
@@ -38,82 +51,15 @@ func warmer(hier *cache.Hierarchy) func(cpu.Record) {
 	}
 }
 
+// ExportPredictors implements core.Warm; the RUU model warms none.
+func (ws *warmState) ExportPredictors(*checkpoint.State) {}
+
+// ImportPredictors implements core.Warm; the RUU model warms none.
+func (ws *warmState) ImportPredictors(*checkpoint.State) error { return nil }
+
 // RecordCheckpoints implements core.CheckpointRecorder: a functional
-// pass that warms the hierarchy exactly as Run's skip path does, with
-// a snapshot at each requested stream position.
+// pass that warms the hierarchy exactly as Run's skip path does.
 func (m *Machine) RecordCheckpoints(w core.Workload, positions []uint64) ([]*checkpoint.State, error) {
-	if len(positions) == 0 {
-		return nil, fmt.Errorf("ruu: no checkpoint positions requested")
-	}
-	for i := 1; i < len(positions); i++ {
-		if positions[i] <= positions[i-1] {
-			return nil, fmt.Errorf("ruu: checkpoint positions not strictly ascending at %d", i)
-		}
-	}
-	if w.NewSource != nil || w.Prog == nil {
-		return nil, fmt.Errorf("ruu: checkpoints require a program workload, not a trace source")
-	}
-	c := cpu.New(w.Prog)
-	cpu.Skip(c, w.FastForward)
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	warm := warmer(hier)
-	compat := m.Compat()
-
-	out := make([]*checkpoint.State, 0, len(positions))
-	var consumed uint64
-	for _, pos := range positions {
-		for consumed < pos {
-			rec, ok := c.Next()
-			if !ok {
-				return nil, fmt.Errorf("ruu: %s: stream ended at %d instructions, checkpoint wanted %d",
-					w.Name, consumed, pos)
-			}
-			warm(rec)
-			consumed++
-		}
-		cs, err := c.Export()
-		if err != nil {
-			return nil, fmt.Errorf("ruu: %s: %w", w.Name, err)
-		}
-		hs, err := hier.ExportWarm()
-		if err != nil {
-			return nil, fmt.Errorf("ruu: %s: %w", w.Name, err)
-		}
-		out = append(out, &checkpoint.State{
-			Model:    checkpoint.ModelRUU,
-			Machine:  m.cfg.MachineName,
-			Compat:   compat,
-			Workload: w.Name,
-			Position: pos,
-			CPU:      cs,
-			Pages:    c.Mem.ExportPages(),
-			Hier:     hs,
-		})
-	}
-	return out, nil
-}
-
-// restoreSim builds a sim resuming from a checkpoint.
-func (m *Machine) restoreSim(w core.Workload) (*sim, error) {
-	st := w.Checkpoint
-	if err := st.CompatibleWith(checkpoint.ModelRUU, m.Compat()); err != nil {
-		return nil, err
-	}
-	if st.Workload != w.Name {
-		return nil, fmt.Errorf("ruu: checkpoint recorded workload %q, restoring %q", st.Workload, w.Name)
-	}
-	mem := vm.NewMemory()
-	mem.ImportPages(st.Pages)
-	c := cpu.Restore(w.Prog, mem, st.CPU)
-	var src cpu.Source = c
-	if w.MaxInstructions > 0 {
-		src = &cpu.Limited{Src: c, Max: w.MaxInstructions}
-	}
-	cur := core.NewSampleCursor(w.Sample)
-	s := newSim(m.cfg, m.memory(), cur.Wrap(src))
-	s.cur = cur
-	if err := s.hier.ImportWarm(st.Hier); err != nil {
-		return nil, fmt.Errorf("ruu: restore: %w", err)
-	}
-	return s, nil
+	ws := newWarmState(m.cfg, m.memory())
+	return core.RecordCheckpoints(m, checkpoint.ModelRUU, w, positions, &ws)
 }

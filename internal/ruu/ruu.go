@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -195,41 +196,10 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Run implements core.Machine.
 func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
-	if err := w.CheckRestore(); err != nil {
+	s := newSim(m.cfg, m.memory())
+	var err error
+	if s.src, s.cur, err = core.StartRun(m, checkpoint.ModelRUU, w, &s.warmState); err != nil {
 		return core.RunResult{}, err
-	}
-	var s *sim
-	if w.Checkpoint != nil {
-		var err error
-		if s, err = m.restoreSim(w); err != nil {
-			return core.RunResult{}, err
-		}
-	} else {
-		cur := core.NewSampleCursor(w.Sample)
-		s = newSim(m.cfg, m.memory(), cur.Wrap(w.Source()))
-		s.cur = cur
-	}
-	cur := s.cur
-	cur.SetSync(func(c *events.Collector) {
-		s.hier.FoldMemEvents(c)
-	})
-	// Functional warming: keep the caches warm through sampling skips
-	// (per-line on the I-side, as fetch does). The gshare predictor is
-	// left to the warmup window — its index couples to the speculative
-	// global history, which a non-pipelined update would desynchronize.
-	cur.SetWarm(warmer(s.hier))
-	if w.WarmFastForward > 0 {
-		// Cold half of the checkpoint determinism invariant: consume
-		// the prefix through the warming path, then time the rest.
-		warm := warmer(s.hier)
-		for i := uint64(0); i < w.WarmFastForward; i++ {
-			rec, ok := s.src.Next()
-			if !ok {
-				return core.RunResult{}, fmt.Errorf("%s/%s: stream ended at %d instructions during warm fast-forward (wanted %d)",
-					m.cfg.MachineName, w.Name, i, w.WarmFastForward)
-			}
-			warm(rec)
-		}
 	}
 	if err := s.run(); err != nil {
 		return core.RunResult{}, fmt.Errorf("%s/%s: %w", m.cfg.MachineName, w.Name, err)
@@ -244,7 +214,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 		Counters:     s.col.Counters(events.ModelRUU),
 		Breakdown:    &stack,
 	}
-	cur.Finalize(&res, events.ModelRUU)
+	s.cur.Finalize(&res, events.ModelRUU)
 	return res, nil
 }
 
@@ -329,9 +299,9 @@ func (b *btb) insert(pc, target uint64) {
 }
 
 type sim struct {
-	cfg  Config
-	src  cpu.Source
-	hier *cache.Hierarchy
+	warmState // the hierarchy
+	cfg       Config
+	src       cpu.Source
 
 	gshare []predict.SatCounter
 	ghist  uint32
@@ -389,11 +359,10 @@ type sim struct {
 	cur *core.SampleCursor
 }
 
-func newSim(cfg Config, mem cache.Memory, src cpu.Source) *sim {
+func newSim(cfg Config, mem cache.Memory) *sim {
 	s := &sim{
+		warmState: newWarmState(cfg, mem),
 		cfg:       cfg,
-		src:       src,
-		hier:      cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem),
 		gshare:    make([]predict.SatCounter, 1<<cfg.GShareBits),
 		btb:       newBTB(cfg.BTBSets, cfg.BTBAssoc),
 		ras:       predict.NewRAS(cfg.RASEntries),
