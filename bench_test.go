@@ -8,8 +8,10 @@ package repro
 // `go run ./cmd/validate`.
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/model"
 	"repro/internal/validate"
 	"repro/internal/workgen"
@@ -218,6 +220,52 @@ func BenchmarkGccCheckpointSampled(b *testing.B) {
 	}
 	b.ReportMetric(float64(est.DetailedInstructions()), "detailed_insts")
 	b.ReportMetric(est.Speedup(), "speedup")
+}
+
+// loadSink keeps BenchmarkProgramLoad's loads from being optimized
+// away.
+var loadSink *cpu.CPU
+
+// BenchmarkProgramLoad isolates the program-load layer (cpu.New) on
+// the ten macro proxies; one op loads all ten. "first" is each
+// program's first load, which builds its memory image from the data
+// segments; "repeat" is every later load, which shares that image
+// copy-on-write. The programs for "first" are decoded from object
+// bytes outside the timer, so each op sees programs never loaded.
+func BenchmarkProgramLoad(b *testing.B) {
+	ws := Macrobenchmarks()
+	objs := make([][]byte, len(ws))
+	for i, w := range ws {
+		var buf bytes.Buffer
+		if err := SaveProgram(&buf, w.Prog); err != nil {
+			b.Fatal(err)
+		}
+		objs[i] = buf.Bytes()
+	}
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, obj := range objs {
+				b.StopTimer()
+				p, err := LoadProgram(bytes.NewReader(obj))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				loadSink = cpu.New(p)
+			}
+		}
+	})
+	b.Run("repeat", func(b *testing.B) {
+		for _, w := range ws {
+			loadSink = cpu.New(w.Prog)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, w := range ws {
+				loadSink = cpu.New(w.Prog)
+			}
+		}
+	})
 }
 
 // BenchmarkWorkgenGenerate measures pure workload synthesis: spec to

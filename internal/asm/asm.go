@@ -11,8 +11,10 @@ package asm
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/isa"
+	"repro/internal/vm"
 )
 
 // Default memory layout for assembled programs.
@@ -32,7 +34,8 @@ type Segment struct {
 }
 
 // Program is an assembled AXP-lite program: code, initialized data,
-// and a symbol table. Programs are immutable once assembled.
+// and a symbol table. Programs are immutable once assembled, and are
+// passed by pointer: each carries its memory image, built once.
 type Program struct {
 	Name     string
 	TextBase uint64
@@ -40,6 +43,23 @@ type Program struct {
 	Segments []Segment
 	Symbols  map[string]uint64
 	Entry    uint64
+
+	imageOnce sync.Once
+	image     *vm.Image
+}
+
+// Image returns the program's initial data memory: its segments,
+// loaded on the first call and shared by every later one. Safe for
+// concurrent use.
+func (p *Program) Image() *vm.Image {
+	p.imageOnce.Do(func() {
+		m := vm.NewMemory()
+		for _, seg := range p.Segments {
+			m.SetBytes(seg.Addr, seg.Bytes)
+		}
+		p.image = m.Freeze()
+	})
+	return p.image
 }
 
 // InstAt returns the instruction at byte address pc. ok is false when

@@ -49,13 +49,11 @@ type CPU struct {
 	err    error
 }
 
-// New returns a CPU with the program loaded: data segments copied
-// into memory, SP at the top of the stack, PC at the entry point.
+// New returns a CPU with the program loaded: memory holding the
+// program's shared image (pages are copied on first store), SP at the
+// top of the stack, PC at the entry point.
 func New(p *asm.Program) *CPU {
-	c := &CPU{Prog: p, Mem: vm.NewMemory(), PC: p.Entry}
-	for _, seg := range p.Segments {
-		c.Mem.SetBytes(seg.Addr, seg.Bytes)
-	}
+	c := &CPU{Prog: p, Mem: p.Image().Memory(), PC: p.Entry}
 	c.R[isa.SP] = asm.StackTop
 	return c
 }

@@ -28,19 +28,20 @@ func (m *Memory) ExportPages() []PageImage {
 		return nil
 	}
 	out := make([]PageImage, 0, len(m.pages))
-	for vp, p := range m.pages {
-		out = append(out, PageImage{VPage: vp, Data: *p})
+	for vp, f := range m.pages {
+		out = append(out, PageImage{VPage: vp, Data: *f.data})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].VPage < out[j].VPage })
 	return out
 }
 
-// ImportPages replaces the memory image with the given pages.
+// ImportPages replaces the memory image with the given pages. The
+// pages are aliased, not copied: the first store to each copies it, so
+// m never writes to pages, but pages must not change while m is in use.
 func (m *Memory) ImportPages(pages []PageImage) {
-	m.pages = make(map[uint64]*[PageSize]byte, len(pages))
+	m.pages = make(map[uint64]frame, len(pages))
 	for i := range pages {
-		p := pages[i].Data
-		m.pages[pages[i].VPage] = &p
+		m.pages[pages[i].VPage] = frame{data: &pages[i].Data, shared: true}
 	}
 }
 

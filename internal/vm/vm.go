@@ -12,7 +12,11 @@
 // simulators can legitimately disagree the way real systems do.
 package vm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"maps"
+)
 
 // PageBits is log2 of the page size (8 KB, as on Alpha).
 const PageBits = 13
@@ -29,24 +33,43 @@ const WalkLevels = 5
 
 // Memory is a sparse, byte-addressable virtual memory image. The zero
 // value is an empty memory; reads of untouched locations return zero.
+//
+// Pages may be aliased from an Image or an imported checkpoint rather
+// than owned: reads use them in place, and the first store to one
+// copies it, so a Memory never writes through to anything it shares.
 type Memory struct {
-	pages map[uint64]*[PageSize]byte
+	pages map[uint64]frame
+}
+
+// frame is one resident page. shared marks a page aliased from an
+// Image or an imported checkpoint, which must be copied before a
+// store.
+type frame struct {
+	data   *[PageSize]byte
+	shared bool
 }
 
 // NewMemory returns an empty memory image.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[PageSize]byte)}
+	return &Memory{pages: make(map[uint64]frame)}
 }
 
-func (m *Memory) page(vpage uint64, create bool) *[PageSize]byte {
-	if p, ok := m.pages[vpage]; ok {
-		return p
+// page returns the page holding vpage. A read (write=false) of a page
+// that is not resident returns nil. A write creates a missing page and
+// replaces an aliased one with a private copy first.
+func (m *Memory) page(vpage uint64, write bool) *[PageSize]byte {
+	f, ok := m.pages[vpage]
+	if !write || (ok && !f.shared) {
+		return f.data
 	}
-	if !create {
-		return nil
+	if m.pages == nil {
+		m.pages = make(map[uint64]frame)
 	}
 	p := new([PageSize]byte)
-	m.pages[vpage] = p
+	if ok {
+		*p = *f.data
+	}
+	m.pages[vpage] = frame{data: p}
 	return p
 }
 
@@ -67,17 +90,12 @@ func (m *Memory) SetByte(addr uint64, v byte) {
 // Read64 returns the little-endian 64-bit word at addr. The access
 // may straddle a page boundary.
 func (m *Memory) Read64(addr uint64) uint64 {
-	if addr&PageMask <= PageSize-8 {
+	if off := addr & PageMask; off <= PageSize-8 {
 		p := m.page(addr>>PageBits, false)
 		if p == nil {
 			return 0
 		}
-		off := addr & PageMask
-		var v uint64
-		for i := uint64(0); i < 8; i++ {
-			v |= uint64(p[off+i]) << (8 * i)
-		}
-		return v
+		return binary.LittleEndian.Uint64(p[off:])
 	}
 	var v uint64
 	for i := uint64(0); i < 8; i++ {
@@ -88,12 +106,8 @@ func (m *Memory) Read64(addr uint64) uint64 {
 
 // Write64 stores a little-endian 64-bit word at addr.
 func (m *Memory) Write64(addr uint64, v uint64) {
-	if addr&PageMask <= PageSize-8 {
-		p := m.page(addr>>PageBits, true)
-		off := addr & PageMask
-		for i := uint64(0); i < 8; i++ {
-			p[off+i] = byte(v >> (8 * i))
-		}
+	if off := addr & PageMask; off <= PageSize-8 {
+		binary.LittleEndian.PutUint64(m.page(addr>>PageBits, true)[off:], v)
 		return
 	}
 	for i := uint64(0); i < 8; i++ {
@@ -101,8 +115,16 @@ func (m *Memory) Write64(addr uint64, v uint64) {
 	}
 }
 
-// Read32 returns the little-endian 32-bit word at addr.
+// Read32 returns the little-endian 32-bit word at addr. The access
+// may straddle a page boundary.
 func (m *Memory) Read32(addr uint64) uint32 {
+	if off := addr & PageMask; off <= PageSize-4 {
+		p := m.page(addr>>PageBits, false)
+		if p == nil {
+			return 0
+		}
+		return binary.LittleEndian.Uint32(p[off:])
+	}
 	var v uint32
 	for i := uint64(0); i < 4; i++ {
 		v |= uint32(m.Byte(addr+i)) << (8 * i)
@@ -112,20 +134,51 @@ func (m *Memory) Read32(addr uint64) uint32 {
 
 // Write32 stores a little-endian 32-bit word at addr.
 func (m *Memory) Write32(addr uint64, v uint32) {
+	if off := addr & PageMask; off <= PageSize-4 {
+		binary.LittleEndian.PutUint32(m.page(addr>>PageBits, true)[off:], v)
+		return
+	}
 	for i := uint64(0); i < 4; i++ {
 		m.SetByte(addr+i, byte(v>>(8*i)))
 	}
 }
 
-// SetBytes copies b into memory starting at addr.
+// SetBytes copies b into memory starting at addr, a page at a time.
+// Every page the range covers becomes resident, even where b is zero.
 func (m *Memory) SetBytes(addr uint64, b []byte) {
-	for i, c := range b {
-		m.SetByte(addr+uint64(i), c)
+	for len(b) > 0 {
+		n := copy(m.page(addr>>PageBits, true)[addr&PageMask:], b)
+		b = b[n:]
+		addr += uint64(n)
 	}
 }
 
-// TouchedPages returns how many distinct pages have been written.
+// TouchedPages returns how many distinct pages are resident: loaded
+// from an image, imported from a checkpoint, or written.
 func (m *Memory) TouchedPages() int { return len(m.pages) }
+
+// Image is a read-only memory image, built once and shared. It has no
+// write methods; every Memory made from it aliases its pages and
+// copies one only on its first store there. Safe for concurrent use.
+type Image struct {
+	pages map[uint64]frame // every frame shared
+}
+
+// Freeze moves m's contents into a new Image and leaves m empty, so
+// nothing can store to the image's pages.
+func (m *Memory) Freeze() *Image {
+	for vp, f := range m.pages {
+		m.pages[vp] = frame{data: f.data, shared: true}
+	}
+	img := &Image{pages: m.pages}
+	m.pages = nil
+	return img
+}
+
+// Memory returns a fresh memory holding the image's contents.
+func (img *Image) Memory() *Memory {
+	return &Memory{pages: maps.Clone(img.pages)}
+}
 
 // Mapper assigns physical page frames to virtual pages. Frame numbers
 // are dense small integers; physical addresses are frame<<PageBits |
