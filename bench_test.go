@@ -222,6 +222,32 @@ func BenchmarkGccCheckpointSampled(b *testing.B) {
 	b.ReportMetric(est.Speedup(), "speedup")
 }
 
+// BenchmarkCheckpointRestore isolates one checkpointed interval:
+// restore a single gcc library state into sim-alpha and run its
+// detailed window (750 warm-up and 750 measured instructions), as
+// RunCheckpointSampled does once per interval. Its B/op and allocs/op
+// are one restore's building and copying cost plus the window's own.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	m := SimAlpha()
+	w := gccWorkload(b)
+	plan := CheckpointLibraryPlan(sampledBenchLimit)
+	lib, err := BuildCheckpointLibrary(m, w, plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.Checkpoint = lib.States[len(lib.States)/2]
+	w.MaxInstructions = plan.Detailed()
+	w.Sample = &SamplePlan{Period: plan.Detailed(), Warmup: plan.Warmup, Measure: plan.Measure, MaxIntervals: 1}
+	b.ResetTimer()
+	var res RunResult
+	for i := 0; i < b.N; i++ {
+		if res, err = m.Run(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Sampled.DetailedInstructions), "detailed_insts")
+}
+
 // loadSink keeps BenchmarkProgramLoad's loads from being optimized
 // away.
 var loadSink *cpu.CPU

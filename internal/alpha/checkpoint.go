@@ -25,11 +25,17 @@ import (
 // usable in filenames and log lines, never colliding on a shared
 // struct-rendering prefix.
 func (m *Machine) Compat() string {
+	m.compatOnce.Do(func() { m.compat = compatOf(m.cfg) })
+	return m.compat
+}
+
+// compatOf computes the Compat tag of a configuration.
+func compatOf(cfg Config) string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier   cache.HierarchyConfig
 		Tour   predict.TournamentConfig
 		Mapper string
-	}{m.cfg.Hier, m.cfg.Tour, m.cfg.NewMapper().Name()})))
+	}{cfg.Hier, cfg.Tour, cfg.NewMapper().Name()})))
 }
 
 // warmState holds what functional warming keeps warm in the

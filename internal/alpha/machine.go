@@ -2,6 +2,7 @@ package alpha
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
@@ -17,6 +18,10 @@ import (
 // implements core.Machine; each Run constructs fresh pipeline state.
 type Machine struct {
 	cfg Config
+	// compat is the Compat tag, computed on first use and kept: cfg
+	// never changes, and most machines never restore or record.
+	compatOnce sync.Once
+	compat     string
 	// newMem, when set, builds the main-memory backend under the L2
 	// instead of the flat SDRAM model described by cfg.DRAM. It lives
 	// outside Config so the pinned configuration fingerprints (and

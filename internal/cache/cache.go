@@ -5,6 +5,8 @@
 // TLBs, accounting for bus contention between levels.
 package cache
 
+import "sync"
+
 // Config describes one cache array.
 type Config struct {
 	Name       string
@@ -36,15 +38,67 @@ func (s Stats) MissRate() float64 {
 
 // Cache is a set-associative tag array with true-LRU replacement.
 // It tracks timing state only; data lives in the functional memory.
+//
+// The slot arrays are held in groups of consecutive sets, and a
+// group is copied only on its first write: a new cache aliases the
+// shared all-zero image and a restored one aliases the CacheState it
+// was imported from, so building and restoring a cache costs what the
+// run touches rather than what the array holds.
 type Cache struct {
 	cfg   Config
-	tags  []uint64 // sets*assoc entries
+	sets  int
+	shift uint // log2 of sets per group
+	// groups[i] holds sets [i<<shift, (i+1)<<shift); the last group
+	// may be shorter.
+	groups []group
+	clock  uint64
+
+	Stats Stats
+}
+
+// group is the slot state of a run of consecutive sets, laid out as
+// the flat CacheState arrays are: way w of the group's set k is at
+// index k*assoc+w.
+type group struct {
+	tags  []uint64
 	valid []bool
 	dirty []bool
 	age   []uint64 // LRU stamps
-	clock uint64
+	// owned reports whether the slices are this cache's own. Until
+	// then they alias memory shared with other caches — the zero
+	// image or an imported CacheState — which must never be written.
+	owned bool
+}
 
-	Stats Stats
+// groupSlots is the target number of slots per group: small enough
+// that a short window copies little of a 32768-slot L2, large enough
+// that the group table stays a small fraction of the arrays.
+const groupSlots = 256
+
+// zeroImage is the process-wide all-zero slot image every new cache
+// aliases until it writes. It is only ever replaced by a larger one,
+// never written, so a cache may keep slicing an older image.
+var zeroImage struct {
+	sync.Mutex
+	tags, age    []uint64
+	valid, dirty []bool
+}
+
+// zeroSlots returns an all-zero CacheState of n slots aliasing the
+// shared image.
+func zeroSlots(n int) CacheState {
+	zeroImage.Lock()
+	defer zeroImage.Unlock()
+	if len(zeroImage.tags) < n {
+		zeroImage.tags, zeroImage.age = make([]uint64, n), make([]uint64, n)
+		zeroImage.valid, zeroImage.dirty = make([]bool, n), make([]bool, n)
+	}
+	return CacheState{
+		Tags:  zeroImage.tags[:n:n],
+		Valid: zeroImage.valid[:n:n],
+		Dirty: zeroImage.dirty[:n:n],
+		Age:   zeroImage.age[:n:n],
+	}
 }
 
 // New returns an empty cache with the given geometry. It panics on a
@@ -53,14 +107,44 @@ func New(cfg Config) *Cache {
 	if cfg.SizeBytes <= 0 || cfg.BlockBytes <= 0 || cfg.Assoc <= 0 || cfg.Sets() <= 0 {
 		panic("cache: invalid configuration " + cfg.Name)
 	}
-	n := cfg.Sets() * cfg.Assoc
-	return &Cache{
-		cfg:   cfg,
-		tags:  make([]uint64, n),
-		valid: make([]bool, n),
-		dirty: make([]bool, n),
-		age:   make([]uint64, n),
+	c := &Cache{cfg: cfg, sets: cfg.Sets()}
+	// Sets per group: the largest power of two whose slots fit in
+	// groupSlots (at least one set), capped at the cache's sets.
+	for 2<<c.shift <= groupSlots/cfg.Assoc && 2<<c.shift <= c.sets {
+		c.shift++
 	}
+	c.groups = make([]group, (c.sets+1<<c.shift-1)>>c.shift)
+	c.alias(zeroSlots(c.sets * cfg.Assoc))
+	return c
+}
+
+// alias points every group at its part of st's arrays, unowned.
+func (c *Cache) alias(st CacheState) {
+	per := c.cfg.Assoc << c.shift
+	for i := range c.groups {
+		lo := i * per
+		hi := min(lo+per, len(st.Tags))
+		c.groups[i] = group{
+			tags:  st.Tags[lo:hi:hi],
+			valid: st.Valid[lo:hi:hi],
+			dirty: st.Dirty[lo:hi:hi],
+			age:   st.Age[lo:hi:hi],
+		}
+	}
+}
+
+// own gives g private copies of its slices before its first write,
+// in one allocation per element type.
+func (g *group) own() {
+	n := len(g.tags)
+	words, flags := make([]uint64, 2*n), make([]bool, 2*n)
+	copy(words, g.tags)
+	copy(words[n:], g.age)
+	copy(flags, g.valid)
+	copy(flags[n:], g.dirty)
+	g.tags, g.age = words[:n:n], words[n:]
+	g.valid, g.dirty = flags[:n:n], flags[n:]
+	g.owned = true
 }
 
 // Cfg returns the cache geometry.
@@ -73,24 +157,32 @@ func (c *Cache) Block(paddr uint64) uint64 {
 
 // Set returns the set index for paddr.
 func (c *Cache) Set(paddr uint64) int {
-	return int(paddr/uint64(c.cfg.BlockBytes)) & (c.cfg.Sets() - 1)
+	return int(paddr/uint64(c.cfg.BlockBytes)) & (c.sets - 1)
 }
 
-func (c *Cache) slot(set, way int) int { return set*c.cfg.Assoc + way }
+// locate returns the group holding paddr's set and the index of the
+// set's first way within it.
+func (c *Cache) locate(paddr uint64) (*group, int) {
+	set := c.Set(paddr)
+	return &c.groups[set>>c.shift], (set & (1<<c.shift - 1)) * c.cfg.Assoc
+}
 
 // Probe looks up paddr without modifying contents, recording the
 // access and updating LRU on a hit. It returns the hit way.
 func (c *Cache) Probe(paddr uint64, write bool) (hit bool, way int) {
 	c.Stats.Accesses++
 	c.clock++
-	set := c.Set(paddr)
+	g, base := c.locate(paddr)
 	tag := c.Block(paddr)
 	for w := 0; w < c.cfg.Assoc; w++ {
-		s := c.slot(set, w)
-		if c.valid[s] && c.tags[s] == tag {
-			c.age[s] = c.clock
+		s := base + w
+		if g.valid[s] && g.tags[s] == tag {
+			if !g.owned {
+				g.own()
+			}
+			g.age[s] = c.clock
 			if write {
-				c.dirty[s] = true
+				g.dirty[s] = true
 			}
 			c.Stats.Hits++
 			return true, w
@@ -103,11 +195,11 @@ func (c *Cache) Probe(paddr uint64, write bool) (hit bool, way int) {
 // Peek reports whether paddr is resident without touching statistics
 // or LRU state (used by way-prediction checks and tests).
 func (c *Cache) Peek(paddr uint64) (hit bool, way int) {
-	set := c.Set(paddr)
+	g, base := c.locate(paddr)
 	tag := c.Block(paddr)
 	for w := 0; w < c.cfg.Assoc; w++ {
-		s := c.slot(set, w)
-		if c.valid[s] && c.tags[s] == tag {
+		s := base + w
+		if g.valid[s] && g.tags[s] == tag {
 			return true, w
 		}
 	}
@@ -119,15 +211,18 @@ func (c *Cache) Peek(paddr uint64) (hit bool, way int) {
 // victim was dirty (needing write-back).
 func (c *Cache) Insert(paddr uint64, dirty bool) (victim uint64, victimOK, victimDirty bool) {
 	c.clock++
-	set := c.Set(paddr)
+	g, base := c.locate(paddr)
+	if !g.owned {
+		g.own()
+	}
 	tag := c.Block(paddr)
 	// Already resident (a combining fill): just mark.
 	for w := 0; w < c.cfg.Assoc; w++ {
-		s := c.slot(set, w)
-		if c.valid[s] && c.tags[s] == tag {
-			c.age[s] = c.clock
+		s := base + w
+		if g.valid[s] && g.tags[s] == tag {
+			g.age[s] = c.clock
 			if dirty {
-				c.dirty[s] = true
+				g.dirty[s] = true
 			}
 			return 0, false, false
 		}
@@ -135,50 +230,58 @@ func (c *Cache) Insert(paddr uint64, dirty bool) (victim uint64, victimOK, victi
 	// Choose an invalid way, else LRU.
 	victimWay, oldest := -1, c.clock+1
 	for w := 0; w < c.cfg.Assoc; w++ {
-		s := c.slot(set, w)
-		if !c.valid[s] {
+		s := base + w
+		if !g.valid[s] {
 			victimWay = w
 			break
 		}
-		if c.age[s] < oldest {
-			oldest = c.age[s]
+		if g.age[s] < oldest {
+			oldest = g.age[s]
 			victimWay = w
 		}
 	}
-	s := c.slot(set, victimWay)
-	if c.valid[s] {
-		victim, victimOK, victimDirty = c.tags[s], true, c.dirty[s]
+	s := base + victimWay
+	if g.valid[s] {
+		victim, victimOK, victimDirty = g.tags[s], true, g.dirty[s]
 		c.Stats.Evictions++
 		if victimDirty {
 			c.Stats.Writebacks++
 		}
 	}
-	c.tags[s] = tag
-	c.valid[s] = true
-	c.dirty[s] = dirty
-	c.age[s] = c.clock
+	g.tags[s] = tag
+	g.valid[s] = true
+	g.dirty[s] = dirty
+	g.age[s] = c.clock
 	return victim, victimOK, victimDirty
 }
 
 // Invalidate drops the block containing paddr if present.
 func (c *Cache) Invalidate(paddr uint64) {
-	set := c.Set(paddr)
+	g, base := c.locate(paddr)
 	tag := c.Block(paddr)
 	for w := 0; w < c.cfg.Assoc; w++ {
-		s := c.slot(set, w)
-		if c.valid[s] && c.tags[s] == tag {
-			c.valid[s] = false
+		s := base + w
+		if g.valid[s] && g.tags[s] == tag {
+			if !g.owned {
+				g.own()
+			}
+			g.valid[s] = false
 			return
 		}
 	}
 }
 
-// Reset empties the cache and clears statistics.
+// Reset empties the cache and clears statistics. Only the valid,
+// dirty and LRU state is cleared; tags stay, behind invalid slots.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-		c.age[i] = 0
+	for i := range c.groups {
+		g := &c.groups[i]
+		if !g.owned {
+			g.own()
+		}
+		clear(g.valid)
+		clear(g.dirty)
+		clear(g.age)
 	}
 	c.clock = 0
 	c.Stats = Stats{}

@@ -27,28 +27,36 @@ type CacheState struct {
 	Stats Stats
 }
 
-// Export snapshots the cache array.
+// Export snapshots the cache array into flat arrays of its own.
 func (c *Cache) Export() CacheState {
-	return CacheState{
-		Tags:  append([]uint64(nil), c.tags...),
-		Valid: append([]bool(nil), c.valid...),
-		Dirty: append([]bool(nil), c.dirty...),
-		Age:   append([]uint64(nil), c.age...),
+	n := c.sets * c.cfg.Assoc
+	st := CacheState{
+		Tags:  make([]uint64, 0, n),
+		Valid: make([]bool, 0, n),
+		Dirty: make([]bool, 0, n),
+		Age:   make([]uint64, 0, n),
 		Clock: c.clock,
 		Stats: c.Stats,
 	}
+	for _, g := range c.groups {
+		st.Tags = append(st.Tags, g.tags...)
+		st.Valid = append(st.Valid, g.valid...)
+		st.Dirty = append(st.Dirty, g.dirty...)
+		st.Age = append(st.Age, g.age...)
+	}
+	return st
 }
 
 // Import restores a snapshot taken from a cache of the same geometry.
+// The cache aliases st's arrays and copies a group of sets only on
+// its first write to it, so st must not be modified afterwards; st
+// itself is never written.
 func (c *Cache) Import(st CacheState) error {
-	n := len(c.tags)
+	n := c.sets * c.cfg.Assoc
 	if len(st.Tags) != n || len(st.Valid) != n || len(st.Dirty) != n || len(st.Age) != n {
 		return fmt.Errorf("cache: %s state has %d slots, cache has %d", c.cfg.Name, len(st.Tags), n)
 	}
-	copy(c.tags, st.Tags)
-	copy(c.valid, st.Valid)
-	copy(c.dirty, st.Dirty)
-	copy(c.age, st.Age)
+	c.alias(st)
 	c.clock = st.Clock
 	c.Stats = st.Stats
 	return nil
@@ -122,7 +130,8 @@ func (h *Hierarchy) ExportWarm() (HierarchyState, error) {
 }
 
 // ImportWarm restores warmed state into a freshly built hierarchy of
-// the same geometry.
+// the same geometry. The caches alias st's arrays (see Cache.Import),
+// so st must not be modified afterwards.
 func (h *Hierarchy) ImportWarm(st HierarchyState) error {
 	if err := h.L1I.Import(st.L1I); err != nil {
 		return err

@@ -17,6 +17,15 @@
 // touches it, so a restored run and a cold run warmed forward to N
 // both hold it in reset state.
 //
+// # Restoring shares the state
+//
+// A restore does not copy a State. The restored memory aliases its
+// pages and the restored caches alias its cache arrays; each copies a
+// page, or a group of cache sets, only on its first write to it. A
+// restore therefore costs what the run touches, not what the machine
+// holds, and one library can serve many concurrent restores — but a
+// State must not be modified once it has been restored from.
+//
 // # The determinism invariant
 //
 // Restore(checkpoint@N) followed by a detailed run of the remainder

@@ -12,11 +12,17 @@ import (
 // Compat fingerprints the warm-relevant configuration: the hierarchy,
 // the bimodal table geometry, and the mapping policy.
 func (m *Machine) Compat() string {
+	m.compatOnce.Do(func() { m.compat = compatOf(m.cfg) })
+	return m.compat
+}
+
+// compatOf computes the Compat tag of a configuration.
+func compatOf(cfg Config) string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier        cache.HierarchyConfig
 		BimodalBits int
 		Mapper      string
-	}{m.cfg.Hier, m.cfg.BimodalBits, m.cfg.NewMapper().Name()})))
+	}{cfg.Hier, cfg.BimodalBits, cfg.NewMapper().Name()})))
 }
 
 // warmState holds what functional warming keeps warm in the in-order
@@ -24,17 +30,13 @@ func (m *Machine) Compat() string {
 // record pass both build it with newWarmState.
 type warmState struct {
 	hier    *cache.Hierarchy
-	bimodal []predict.SatCounter
+	bimodal predict.Counters
 }
 
 func newWarmState(cfg Config, mem cache.Memory) warmState {
-	bimodal := make([]predict.SatCounter, 1<<cfg.BimodalBits)
-	for i := range bimodal {
-		bimodal[i] = predict.NewSatCounter(2, 1)
-	}
 	return warmState{
 		hier:    cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem),
-		bimodal: bimodal,
+		bimodal: predict.NewCounters(1<<cfg.BimodalBits, 2, 1),
 	}
 }
 
@@ -44,7 +46,7 @@ func (ws *warmState) Hierarchy() *cache.Hierarchy { return ws.hier }
 // Warmer implements core.Warm: caches plus the (history-free) bimodal
 // predictor, trained as the timed loop trains it.
 func (ws *warmState) Warmer() func(cpu.Record) {
-	hier, bimodal := ws.hier, ws.bimodal
+	hier, bimodal := ws.hier, &ws.bimodal
 	warmLine := uint64(1) << 63
 	return func(rec cpu.Record) {
 		if line := rec.PC &^ 63; line != warmLine {
@@ -63,12 +65,12 @@ func (ws *warmState) Warmer() func(cpu.Record) {
 
 // ExportPredictors implements core.Warm.
 func (ws *warmState) ExportPredictors(st *checkpoint.State) {
-	st.Bimodal = predict.ExportSat(ws.bimodal)
+	st.Bimodal = ws.bimodal.Export()
 }
 
 // ImportPredictors implements core.Warm.
 func (ws *warmState) ImportPredictors(st *checkpoint.State) error {
-	return predict.ImportSat(ws.bimodal, st.Bimodal)
+	return ws.bimodal.Import(st.Bimodal)
 }
 
 // RecordCheckpoints implements core.CheckpointRecorder.

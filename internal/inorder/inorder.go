@@ -14,6 +14,7 @@ package inorder
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
@@ -56,6 +57,10 @@ func DefaultConfig() Config {
 // Machine implements core.Machine.
 type Machine struct {
 	cfg Config
+	// compat is the Compat tag, computed on first use and kept: cfg
+	// never changes, and most machines never restore or record.
+	compatOnce sync.Once
+	compat     string
 	// newMem, when set, builds the main-memory backend instead of the
 	// flat SDRAM model from cfg.DRAM (see alpha.Machine for why this
 	// lives outside Config: pinned fingerprints must not change).
@@ -95,7 +100,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	if err != nil {
 		return core.RunResult{}, err
 	}
-	hier, bimodal := ws.hier, ws.bimodal
+	hier, bimodal := ws.hier, &ws.bimodal
 
 	var cycle, retired uint64
 	// col accumulates typed event counts and CPI-stack attribution
@@ -201,17 +206,12 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	return res, nil
 }
 
-func predictTaken(t []predict.SatCounter, pc uint64) bool {
-	return t[int(pc>>2)&(len(t)-1)].Taken()
+func predictTaken(t *predict.Counters, pc uint64) bool {
+	return t.Taken(int(pc>>2) & (t.Len() - 1))
 }
 
-func train(t []predict.SatCounter, pc uint64, taken bool) {
-	i := int(pc>>2) & (len(t) - 1)
-	if taken {
-		t[i].Inc()
-	} else {
-		t[i].Dec()
-	}
+func train(t *predict.Counters, pc uint64, taken bool) {
+	t.Train(int(pc>>2)&(t.Len()-1), taken)
 }
 
 func latency(cls isa.Class) int {

@@ -153,7 +153,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 		return core.RunResult{}, err
 	}
 	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
-	bimodal := newBimodal(m.cfg.BimodalBits)
+	bimodal := predict.NewCounters(1<<m.cfg.BimodalBits, 2, 1)
 	src := w.Source()
 
 	var retired uint64
@@ -251,8 +251,8 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 			hier.Data(rec.EA, true, now)
 			qwDelta()
 		case rec.IsBranch():
-			taken := predictTaken(bimodal, rec.PC)
-			train(bimodal, rec.PC, rec.Taken)
+			taken := predictTaken(&bimodal, rec.PC)
+			train(&bimodal, rec.PC, rec.Taken)
 			mispredict := taken != rec.Taken
 			if rec.Inst.Op.Class() == isa.ClassJump {
 				mispredict = true // no BTB: indirect targets always refill
@@ -289,23 +289,10 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	}, nil
 }
 
-func newBimodal(bits int) []predict.SatCounter {
-	t := make([]predict.SatCounter, 1<<bits)
-	for i := range t {
-		t[i] = predict.NewSatCounter(2, 1)
-	}
-	return t
+func predictTaken(t *predict.Counters, pc uint64) bool {
+	return t.Taken(int(pc>>2) & (t.Len() - 1))
 }
 
-func predictTaken(t []predict.SatCounter, pc uint64) bool {
-	return t[int(pc>>2)&(len(t)-1)].Taken()
-}
-
-func train(t []predict.SatCounter, pc uint64, taken bool) {
-	i := int(pc>>2) & (len(t) - 1)
-	if taken {
-		t[i].Inc()
-	} else {
-		t[i].Dec()
-	}
+func train(t *predict.Counters, pc uint64, taken bool) {
+	t.Train(int(pc>>2)&(t.Len()-1), taken)
 }

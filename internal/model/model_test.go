@@ -5,7 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/fingerprint"
+	"repro/internal/predict"
 )
 
 func TestRegistryContents(t *testing.T) {
@@ -173,6 +177,76 @@ func TestRegisteredConfigsBuild(t *testing.T) {
 		}
 		if _, err := Build(d.Config); err != nil {
 			t.Errorf("%s: registered config does not Build: %v", d.Name, err)
+		}
+	}
+}
+
+// compatOf recomputes a configuration's checkpoint compat tag the way
+// each checkpointable family defines it: the warm-relevant part of the
+// configuration, fingerprinted and hashed. ok is false for a
+// configuration type with no definition here.
+func compatOf(cfg any) (tag string, ok bool) {
+	hash := func(v any) string { return checkpoint.Hash([]byte(fingerprint.Of(v))) }
+	switch c := cfg.(type) {
+	case nativeIdentity:
+		return compatOf(c.Model)
+	case AlphaDDRConfig:
+		return compatOf(c.Core)
+	case RUUDDRConfig:
+		return compatOf(c.Core)
+	case InorderDDRConfig:
+		return compatOf(c.Core)
+	case AlphaConfig:
+		return hash(struct {
+			Hier   cache.HierarchyConfig
+			Tour   predict.TournamentConfig
+			Mapper string
+		}{c.Hier, c.Tour, c.NewMapper().Name()}), true
+	case RUUConfig:
+		return hash(struct {
+			Hier   cache.HierarchyConfig
+			Mapper string
+		}{c.Hier, c.NewMapper().Name()}), true
+	case InorderConfig:
+		return hash(struct {
+			Hier        cache.HierarchyConfig
+			BimodalBits int
+			Mapper      string
+		}{c.Hier, c.BimodalBits, c.NewMapper().Name()}), true
+	}
+	return "", false
+}
+
+// TestCompatCachedMatchesComputation checks that every checkpointable
+// backend's Compat, computed once per machine and then kept, is the
+// tag its configuration defines, both for the registered constructor
+// and for a machine built from the registered configuration — on
+// first use and on a later one.
+func TestCompatCachedMatchesComputation(t *testing.T) {
+	for _, d := range Backends() {
+		if !d.Capabilities().Checkpointable {
+			continue
+		}
+		want, ok := compatOf(d.Config)
+		if !ok {
+			t.Errorf("%s: no compat definition for config type %T", d.Name, d.Config)
+			continue
+		}
+		m := d.New().(core.WarmMachine)
+		for i := 0; i < 2; i++ {
+			if got := m.Compat(); got != want {
+				t.Errorf("%s: Compat() call %d = %s, want %s", d.Name, i, got, want)
+			}
+		}
+		if d.Name == "native-ds10l" {
+			continue // composite identity, constructed only via New
+		}
+		built, err := Build(d.Config)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if got := built.(core.WarmMachine).Compat(); got != want {
+			t.Errorf("%s: built Compat() = %s, want %s", d.Name, got, want)
 		}
 	}
 }

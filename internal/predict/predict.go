@@ -49,6 +49,43 @@ func (c *SatCounter) Taken() bool { return c.value > c.max/2 }
 // Value returns the current count.
 func (c *SatCounter) Value() uint32 { return c.value }
 
+// Counters is a table of n-bit saturating counters held as raw
+// values under one per-table maximum, so building a table is one
+// allocation and checkpointing it is a copy.
+type Counters struct {
+	vals []uint32
+	max  uint32
+}
+
+// NewCounters returns a table of entries counters of the given bit
+// width, each starting at init (clamped to the maximum).
+func NewCounters(entries, bits int, init uint32) Counters {
+	t := Counters{vals: make([]uint32, entries), max: 1<<bits - 1}
+	if init = min(init, t.max); init != 0 {
+		for i := range t.vals {
+			t.vals[i] = init
+		}
+	}
+	return t
+}
+
+// Len returns the number of counters.
+func (t *Counters) Len() int { return len(t.vals) }
+
+// Taken reports whether counter i is in its taken (upper) half.
+func (t *Counters) Taken(i int) bool { return t.vals[i] > t.max/2 }
+
+// Train moves counter i toward taken or not taken, saturating at
+// the maximum and at zero.
+func (t *Counters) Train(i int, taken bool) {
+	switch v := t.vals[i]; {
+	case taken && v < t.max:
+		t.vals[i] = v + 1
+	case !taken && v > 0:
+		t.vals[i] = v - 1
+	}
+}
+
 // TournamentConfig sizes the 21264 tournament predictor. The zero
 // value is not useful; use DefaultTournamentConfig.
 type TournamentConfig struct {
@@ -85,9 +122,9 @@ func DefaultTournamentConfig() TournamentConfig {
 type Tournament struct {
 	cfg       TournamentConfig
 	localHist []uint32
-	localCtr  []SatCounter
-	globalCtr []SatCounter
-	choiceCtr []SatCounter
+	localCtr  Counters
+	globalCtr Counters
+	choiceCtr Counters
 
 	specHist uint32 // speculative global history
 	retHist  uint32 // retired (architectural) global history
@@ -100,23 +137,13 @@ type Tournament struct {
 
 // NewTournament returns a predictor with the given geometry.
 func NewTournament(cfg TournamentConfig) *Tournament {
-	t := &Tournament{
+	return &Tournament{
 		cfg:       cfg,
 		localHist: make([]uint32, cfg.LocalEntries),
-		localCtr:  make([]SatCounter, 1<<cfg.LocalHistBits),
-		globalCtr: make([]SatCounter, 1<<cfg.GlobalHistBits),
-		choiceCtr: make([]SatCounter, cfg.ChoiceEntries),
+		localCtr:  NewCounters(1<<cfg.LocalHistBits, cfg.LocalCtrBits, 0),
+		globalCtr: NewCounters(1<<cfg.GlobalHistBits, cfg.GlobalCtrBits, 0),
+		choiceCtr: NewCounters(cfg.ChoiceEntries, cfg.ChoiceCtrBits, 0),
 	}
-	for i := range t.localCtr {
-		t.localCtr[i] = NewSatCounter(cfg.LocalCtrBits, 0)
-	}
-	for i := range t.globalCtr {
-		t.globalCtr[i] = NewSatCounter(cfg.GlobalCtrBits, 0)
-	}
-	for i := range t.choiceCtr {
-		t.choiceCtr[i] = NewSatCounter(cfg.ChoiceCtrBits, 0)
-	}
-	return t
 }
 
 func (t *Tournament) localIndex(pc uint64) int {
@@ -137,9 +164,9 @@ func (t *Tournament) history(spec bool) uint32 {
 func (t *Tournament) Predict(pc uint64, spec bool) bool {
 	t.Lookups++
 	hist := t.history(spec)
-	localPred := t.localCtr[t.localHist[t.localIndex(pc)]&uint32(1<<t.cfg.LocalHistBits-1)].Taken()
-	globalPred := t.globalCtr[hist&uint32(1<<t.cfg.GlobalHistBits-1)].Taken()
-	choice := t.choiceCtr[int(pc>>2)&(t.cfg.ChoiceEntries-1)].Taken()
+	localPred := t.localCtr.Taken(int(t.localHist[t.localIndex(pc)] & uint32(1<<t.cfg.LocalHistBits-1)))
+	globalPred := t.globalCtr.Taken(int(hist & uint32(1<<t.cfg.GlobalHistBits-1)))
+	choice := t.choiceCtr.Taken(int(pc>>2) & (t.cfg.ChoiceEntries - 1))
 	if choice {
 		return globalPred
 	}
@@ -176,27 +203,17 @@ func (t *Tournament) RebuildSpec(outcomes []bool) {
 // history, which callers can use for bookkeeping.
 func (t *Tournament) Resolve(pc uint64, taken bool) {
 	li := t.localIndex(pc)
-	lh := t.localHist[li] & uint32(1<<t.cfg.LocalHistBits-1)
-	localPred := t.localCtr[lh].Taken()
-	gi := t.retHist & uint32(1<<t.cfg.GlobalHistBits-1)
-	globalPred := t.globalCtr[gi].Taken()
+	lh := int(t.localHist[li] & uint32(1<<t.cfg.LocalHistBits-1))
+	localPred := t.localCtr.Taken(lh)
+	gi := int(t.retHist & uint32(1<<t.cfg.GlobalHistBits-1))
+	globalPred := t.globalCtr.Taken(gi)
 
 	// Train direction tables.
-	if taken {
-		t.localCtr[lh].Inc()
-		t.globalCtr[gi].Inc()
-	} else {
-		t.localCtr[lh].Dec()
-		t.globalCtr[gi].Dec()
-	}
+	t.localCtr.Train(lh, taken)
+	t.globalCtr.Train(gi, taken)
 	// Train the choice table only when the components disagree.
 	if localPred != globalPred {
-		ci := int(pc>>2) & (t.cfg.ChoiceEntries - 1)
-		if globalPred == taken {
-			t.choiceCtr[ci].Inc()
-		} else {
-			t.choiceCtr[ci].Dec()
-		}
+		t.choiceCtr.Train(int(pc>>2)&(t.cfg.ChoiceEntries-1), globalPred == taken)
 	}
 	// Advance histories.
 	t.localHist[li] = shift(t.localHist[li], taken, t.cfg.LocalHistBits)

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -263,5 +264,52 @@ func TestStoreWaitNoClearWhenDisabled(t *testing.T) {
 	s.MarkTrap(0x10)
 	if !s.ShouldWait(0x10, 1<<40) {
 		t.Error("disabled clearing still cleared")
+	}
+}
+
+// Counter-table import is a range-checked copy: values of the right
+// count and width round-trip, and a wrong count or a value above the
+// table's maximum is rejected without touching the table.
+func TestCountersImport(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vals []uint32
+		ok   bool
+	}{
+		{"equal length", []uint32{0, 1, 2, 3}, true},
+		{"short", []uint32{0, 1, 2}, false},
+		{"long", []uint32{0, 1, 2, 3, 0}, false},
+		{"empty", nil, false},
+		{"above maximum", []uint32{0, 1, 4, 3}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := NewCounters(4, 2, 1)
+			err := tab.Import(tc.vals)
+			if (err == nil) != tc.ok {
+				t.Fatalf("Import(%v) error = %v, want ok=%v", tc.vals, err, tc.ok)
+			}
+			want := []uint32{1, 1, 1, 1}
+			if tc.ok {
+				want = tc.vals
+			}
+			if got := tab.Export(); !reflect.DeepEqual(got, want) {
+				t.Errorf("table after Import = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// A tournament predictor refuses a state whose counters exceed its
+// configured width.
+func TestTournamentImportRejectsOutOfRange(t *testing.T) {
+	tr := NewTournament(DefaultTournamentConfig())
+	st := tr.Export()
+	st.GlobalCtr[7] = 4 // 2-bit counters
+	if err := tr.Import(st); err == nil {
+		t.Fatal("Import accepted a 2-bit counter holding 4")
+	}
+	st.GlobalCtr[7] = 3
+	if err := tr.Import(st); err != nil {
+		t.Fatal(err)
 	}
 }

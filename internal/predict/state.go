@@ -4,8 +4,8 @@ import "fmt"
 
 // Checkpoint state export/import for the predictors functional
 // warming trains: the tournament predictor and the line and way
-// predictors (warmed by the alpha models) plus plain saturating-
-// counter tables (the inorder bimodal). The RAS and the load-use and
+// predictors (warmed by the alpha models) plus plain Counters
+// tables (the inorder bimodal). The RAS and the load-use and
 // store-wait predictors track in-flight pipeline state, which drains
 // at every sample boundary, so a restored run and a cold
 // warmed-forward run both start them fresh. The line predictor in
@@ -13,32 +13,22 @@ import "fmt"
 // codes, so a cold (all-sequential) table systematically outperforms
 // a trained one and an unwarmed restore reads biased-fast.
 
-// SetValue overwrites the counter's value, saturating at its maximum.
-func (c *SatCounter) SetValue(v uint32) {
-	if v > c.max {
-		v = c.max
-	}
-	c.value = v
-}
+// Export renders the table as raw values.
+func (t *Counters) Export() []uint32 { return append([]uint32(nil), t.vals...) }
 
-// ExportSat renders a counter table as raw values.
-func ExportSat(cs []SatCounter) []uint32 {
-	out := make([]uint32, len(cs))
-	for i := range cs {
-		out[i] = cs[i].Value()
+// Import restores raw values into a table of the same size. A value
+// above the table's maximum cannot come from a table of this geometry
+// and is rejected.
+func (t *Counters) Import(vals []uint32) error {
+	if len(vals) != len(t.vals) {
+		return fmt.Errorf("predict: counter state has %d entries, table has %d", len(vals), len(t.vals))
 	}
-	return out
-}
-
-// ImportSat restores raw values into a counter table of the same
-// size (each value saturates at the table's configured maximum).
-func ImportSat(cs []SatCounter, vals []uint32) error {
-	if len(vals) != len(cs) {
-		return fmt.Errorf("predict: counter state has %d entries, table has %d", len(vals), len(cs))
+	for i, v := range vals {
+		if v > t.max {
+			return fmt.Errorf("predict: counter state entry %d is %d, above the table maximum %d", i, v, t.max)
+		}
 	}
-	for i := range cs {
-		cs[i].SetValue(vals[i])
-	}
+	copy(t.vals, vals)
 	return nil
 }
 
@@ -62,9 +52,9 @@ type TournamentState struct {
 func (t *Tournament) Export() TournamentState {
 	return TournamentState{
 		LocalHist:   append([]uint32(nil), t.localHist...),
-		LocalCtr:    ExportSat(t.localCtr),
-		GlobalCtr:   ExportSat(t.globalCtr),
-		ChoiceCtr:   ExportSat(t.choiceCtr),
+		LocalCtr:    t.localCtr.Export(),
+		GlobalCtr:   t.globalCtr.Export(),
+		ChoiceCtr:   t.choiceCtr.Export(),
 		SpecHist:    t.specHist,
 		RetHist:     t.retHist,
 		Lookups:     t.Lookups,
@@ -79,13 +69,13 @@ func (t *Tournament) Import(st TournamentState) error {
 		return fmt.Errorf("predict: local-history state has %d entries, predictor has %d",
 			len(st.LocalHist), len(t.localHist))
 	}
-	if err := ImportSat(t.localCtr, st.LocalCtr); err != nil {
+	if err := t.localCtr.Import(st.LocalCtr); err != nil {
 		return fmt.Errorf("local counters: %w", err)
 	}
-	if err := ImportSat(t.globalCtr, st.GlobalCtr); err != nil {
+	if err := t.globalCtr.Import(st.GlobalCtr); err != nil {
 		return fmt.Errorf("global counters: %w", err)
 	}
-	if err := ImportSat(t.choiceCtr, st.ChoiceCtr); err != nil {
+	if err := t.choiceCtr.Import(st.ChoiceCtr); err != nil {
 		return fmt.Errorf("choice counters: %w", err)
 	}
 	copy(t.localHist, st.LocalHist)

@@ -13,10 +13,16 @@ import (
 // speculative global history, so it is left to warmup windows), so
 // the fingerprint covers the hierarchy and the mapping policy.
 func (m *Machine) Compat() string {
+	m.compatOnce.Do(func() { m.compat = compatOf(m.cfg) })
+	return m.compat
+}
+
+// compatOf computes the Compat tag of a configuration.
+func compatOf(cfg Config) string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier   cache.HierarchyConfig
 		Mapper string
-	}{m.cfg.Hier, m.cfg.NewMapper().Name()})))
+	}{cfg.Hier, cfg.NewMapper().Name()})))
 }
 
 // warmState holds what functional warming keeps warm in the RUU

@@ -14,6 +14,7 @@ package ruu
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
@@ -138,6 +139,10 @@ func flatDRAM() dram.Config {
 // Machine is an RUU-based timing model implementing core.Machine.
 type Machine struct {
 	cfg Config
+	// compat is the Compat tag, computed on first use and kept: cfg
+	// never changes, and most machines never restore or record.
+	compatOnce sync.Once
+	compat     string
 	// newMem, when set, builds the main-memory backend instead of the
 	// flat SDRAM model from cfg.DRAM (see alpha.Machine for why this
 	// lives outside Config: pinned fingerprints must not change).
@@ -303,7 +308,7 @@ type sim struct {
 	cfg       Config
 	src       cpu.Source
 
-	gshare []predict.SatCounter
+	gshare predict.Counters
 	ghist  uint32
 	btb    *btb
 	ras    *predict.RAS
@@ -360,10 +365,10 @@ type sim struct {
 }
 
 func newSim(cfg Config, mem cache.Memory) *sim {
-	s := &sim{
+	return &sim{
 		warmState: newWarmState(cfg, mem),
 		cfg:       cfg,
-		gshare:    make([]predict.SatCounter, 1<<cfg.GShareBits),
+		gshare:    predict.NewCounters(1<<cfg.GShareBits, 2, 1),
 		btb:       newBTB(cfg.BTBSets, cfg.BTBAssoc),
 		ras:       predict.NewRAS(cfg.RASEntries),
 		pend:      make([]cpu.Record, 2*cfg.FetchWidth),
@@ -374,23 +379,15 @@ func newSim(cfg Config, mem cache.Memory) *sim {
 		issueBase: 1,
 		wakeAt:    noWake,
 	}
-	for i := range s.gshare {
-		s.gshare[i] = predict.NewSatCounter(2, 1)
-	}
-	return s
 }
 
 func (s *sim) predictDir(pc uint64) (bool, int) {
-	idx := int((pc>>2)^uint64(s.ghist)) & (len(s.gshare) - 1)
-	return s.gshare[idx].Taken(), idx
+	idx := int((pc>>2)^uint64(s.ghist)) & (s.gshare.Len() - 1)
+	return s.gshare.Taken(idx), idx
 }
 
 func (s *sim) trainDir(idx int, taken bool) {
-	if taken {
-		s.gshare[idx].Inc()
-	} else {
-		s.gshare[idx].Dec()
-	}
+	s.gshare.Train(idx, taken)
 	s.ghist = s.ghist<<1 | b2u(taken)
 }
 

@@ -181,11 +181,8 @@ func (s *Server) runCell(spec model.Descriptor, work core.Workload) (core.RunRes
 		s.wlMu.RUnlock()
 		// context.Background: like a local computation, a dispatched
 		// cell outlives its request deadline to populate the cache.
-		if body, err := s.dispatch.run(context.Background(), req); err == nil {
-			var res core.RunResult
-			if err := json.Unmarshal(body, &res); err == nil {
-				return res, nil
-			}
+		if res, _, err := s.dispatch.run(context.Background(), req); err == nil {
+			return res, nil
 		}
 	}
 	s.metrics.Counter("cells_simulated_total").Inc()
@@ -306,13 +303,34 @@ func (d *dispatcher) attempt(ctx context.Context, w *workerRef, body []byte) ([]
 	return out, nil
 }
 
-// run dispatches one cell: home worker by shard affinity, steal to
+// run dispatches one cell and returns the worker's result, decoded
+// and as the body it arrived in. An error return means the caller
+// falls back to local simulation: unless ctx ended, it is counted in
+// dispatch_fallback_total, whatever its cause — no worker reachable
+// (also counted in dispatch_local_fallback_total), a worker rejecting
+// the cell, or a body that does not decode as a result, which must
+// never reach a cache.
+func (d *dispatcher) run(ctx context.Context, req cellRequest) (core.RunResult, []byte, error) {
+	var res core.RunResult
+	body, err := d.send(ctx, req)
+	if err == nil {
+		if err = json.Unmarshal(body, &res); err != nil {
+			err = fmt.Errorf("dispatch: worker body is not a result: %w", err)
+		}
+	}
+	if err != nil && ctx.Err() == nil {
+		d.reg.Counter("dispatch_fallback_total").Inc()
+	}
+	return res, body, err
+}
+
+// send dispatches one cell: home worker by shard affinity, steal to
 // the next worker if the home straggles past the timer, retry down
 // the shard order on transport errors, and an error return once
-// every worker has failed (the caller falls back to local
-// execution). First successful result wins; duplicate executions are
-// harmless because cells are deterministic and content-addressed.
-func (d *dispatcher) run(ctx context.Context, req cellRequest) ([]byte, error) {
+// every worker has failed. First successful result wins; duplicate
+// executions are harmless because cells are deterministic and
+// content-addressed.
+func (d *dispatcher) send(ctx context.Context, req cellRequest) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err

@@ -200,8 +200,65 @@ func TestDispatchAllWorkersLost(t *testing.T) {
 	if n := m.Counter("dispatch_local_fallback_total").Value(); n != 8 {
 		t.Fatalf("dispatch_local_fallback_total = %d, want all 8 cells", n)
 	}
+	if n := m.Counter("dispatch_fallback_total").Value(); n != 8 {
+		t.Fatalf("dispatch_fallback_total = %d, want all 8 cells", n)
+	}
 	if n := m.Counter("dispatch_worker_losses_total").Value(); n != 1 {
 		t.Fatalf("dispatch_worker_losses_total = %d, want 1", n)
+	}
+}
+
+// TestDispatchGarbageBody puts a worker in the tier that answers
+// every cell with a body that is not a result: each sweep cell and
+// each /v1/run must fall back to local execution, match single-node,
+// and be counted — and no garbage body may reach the cache.
+func TestDispatchGarbageBody(t *testing.T) {
+	_, solo := newTestServer(t)
+	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte("\x00not a result"))
+	}))
+	t.Cleanup(garbage.Close)
+	coord, cts := newCoordinator(t, 30*time.Second, garbage.URL)
+
+	_, info := postSweep(t, solo.URL, tinySweepBody)
+	want := waitSweep(t, solo.URL, info.ID)
+	_, dinfo := postSweep(t, cts.URL, tinySweepBody)
+	got := waitSweep(t, cts.URL, dinfo.ID)
+	if got.Status != sweepDone {
+		t.Fatalf("job = %q (%s), want done via local fallback", got.Status, got.Error)
+	}
+	a, _ := json.Marshal(want.Result.Points)
+	b, _ := json.Marshal(got.Result.Points)
+	if !bytes.Equal(a, b) {
+		t.Fatal("fallback sweep diverged from single-node")
+	}
+	q := "/v1/run?machine=sim-alpha&workload=C-Ca&limit=3000"
+	_, _, wantRun := get(t, solo.URL+q)
+	if code, _, gotRun := get(t, cts.URL+q); code != http.StatusOK || !bytes.Equal(gotRun, wantRun) {
+		t.Fatalf("dispatched GET %s = %d, diverged:\n%s\nvs\n%s", q, code, wantRun, gotRun)
+	}
+	m := coord.Metrics()
+	for name, want := range map[string]uint64{
+		"dispatch_cells_total":          9,
+		"dispatch_fallback_total":       9, // every body failed to decode
+		"dispatch_local_fallback_total": 0, // the worker stayed reachable
+		"dispatch_worker_losses_total":  0,
+		"cells_simulated_total":         1, // the run; sweep cells run inside the engine
+	} {
+		if n := m.Counter(name).Value(); n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
+		}
+	}
+	resp, err := http.Get(cts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var text bytes.Buffer
+	text.ReadFrom(resp.Body)
+	if !strings.Contains(text.String(), "dispatch_fallback_total 9\n") {
+		t.Errorf("/metrics lacks dispatch_fallback_total 9:\n%s", text.String())
 	}
 }
 

@@ -481,7 +481,7 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob, plan sweepPlan)
 			for i, a := range sp.Axes {
 				axes[i] = sweepAxis{Name: a.Name, Field: a.Field, Values: []any{a.Values[p[i]]}}
 			}
-			return s.dispatch.run(ctx, cellRequest{
+			_, body, err := s.dispatch.run(ctx, cellRequest{
 				Machine:  plan.req.Machine,
 				Workload: w.Name,
 				Limit:    w.MaxInstructions,
@@ -492,6 +492,7 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob, plan sweepPlan)
 				// program deterministically from the spec.
 				Generate: plan.gen[w.Name],
 			})
+			return body, err
 		}
 	}
 
