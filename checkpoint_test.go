@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/fingerprint"
 	"repro/internal/model"
-	"repro/internal/simcache"
 )
 
 var updateCkptGolden = flag.Bool("update-checkpoint", false, "re-bless testdata/checkpoint.golden")
@@ -101,7 +101,7 @@ func TestCheckpointDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(coldRes.Breakdown, resRes.Breakdown) {
 				t.Errorf("CPI-stack mismatch:\n cold: %v\n rest: %v", coldRes.Breakdown, resRes.Breakdown)
 			}
-			if a, b := simcache.Fingerprint(coldRes), simcache.Fingerprint(resRes); a != b {
+			if a, b := fingerprint.Of(coldRes), fingerprint.Of(resRes); a != b {
 				t.Errorf("result fingerprints differ: %s vs %s", a, b)
 			}
 			fmt.Fprintf(&golden, "%s/%s pos=%d rem=%d insts=%d cycles=%d blob=%s\n",
@@ -130,6 +130,44 @@ func TestCheckpointDeterminism(t *testing.T) {
 	if string(want) != golden.String() {
 		t.Errorf("checkpoint golden drift (re-bless with -update-checkpoint if intentional):\n--- want\n%s--- got\n%s",
 			want, golden.String())
+	}
+}
+
+// TestCheckpointCompatCoversWarmer pins that the 21264 Compat tag
+// covers everything the warmer reads: the I-prefetch feature and the
+// fetch width shape the warmed I-cache and the line and way
+// predictors, so machines differing only there get distinct tags, and
+// each refuses a library recorded on another while running its own.
+func TestCheckpointCompatCoversWarmer(t *testing.T) {
+	narrow := model.DefaultAlphaConfig()
+	narrow.MachineName, narrow.FetchWidth = "sim-alpha-fetch2", 2
+	machines := []Machine{SimAlpha(), SimAlphaWithout("pref"), model.NewAlpha(narrow)}
+	w, _ := WorkloadByName("gcc")
+	w.MaxInstructions = 20_000
+	plan := CheckpointLibraryPlan(w.MaxInstructions)
+	libs := make([]*CheckpointLibrary, len(machines))
+	tags := map[string]string{}
+	for i, m := range machines {
+		tag := m.(core.WarmMachine).Compat()
+		if prev, dup := tags[tag]; dup {
+			t.Errorf("%s and %s share Compat tag %s", prev, m.Name(), tag)
+		}
+		tags[tag] = m.Name()
+		var err error
+		if libs[i], err = BuildCheckpointLibrary(m, w, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, rec := range machines {
+		for j, run := range machines {
+			_, err := RunCheckpointSampled(run, w, libs[i], plan, 1)
+			if i == j && err != nil {
+				t.Errorf("%s refused its own library: %v", run.Name(), err)
+			}
+			if i != j && err == nil {
+				t.Errorf("%s accepted a library recorded on %s", run.Name(), rec.Name())
+			}
+		}
 	}
 }
 

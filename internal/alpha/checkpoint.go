@@ -10,17 +10,13 @@ import (
 	"repro/internal/predict"
 )
 
-// Compat fingerprints the warm-relevant configuration: the memory
-// hierarchy, the warmed-predictor geometry, and the mapping policy.
-// Machines that differ only in core parameters (ROB size, issue
-// widths, latencies) share a fingerprint, so one checkpoint library
-// serves a whole design-space sweep over them. The tag does not cover
-// everything the warmer reads: Feat.IPrefetch and FetchWidth shape the
-// warmed I-cache and the line and way predictors, so machines that
-// differ in them (sim-alpha with and without I-prefetch) share a tag
-// yet record different blobs at the same position. Each machine's
-// restore still equals its own cold warmed-forward run; restoring the
-// other's blob starts from the recording machine's warm state. The
+// Compat fingerprints the warm-relevant configuration: everything the
+// warmer reads — the memory hierarchy (mapping policy included), the
+// warmed-predictor geometry, and the I-prefetch feature and fetch
+// width that shape the warmed I-cache and the line and way
+// predictors. Machines that differ only in other core parameters (ROB
+// size, issue widths, latencies) share a fingerprint, so one
+// checkpoint library serves a whole design-space sweep over them. The
 // rendering is hashed so the tag is a fixed-width opaque token —
 // usable in filenames and log lines, never colliding on a shared
 // struct-rendering prefix.
@@ -32,10 +28,11 @@ func (m *Machine) Compat() string {
 // compatOf computes the Compat tag of a configuration.
 func compatOf(cfg Config) string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
-		Hier   cache.HierarchyConfig
-		Tour   predict.TournamentConfig
-		Mapper string
-	}{cfg.Hier, cfg.Tour, cfg.NewMapper().Name()})))
+		Hier       cache.HierarchyConfig
+		Tour       predict.TournamentConfig
+		IPrefetch  bool
+		FetchWidth int
+	}{cfg.Hier, cfg.Tour, cfg.Feat.IPrefetch, cfg.FetchWidth})))
 }
 
 // warmState holds what functional warming keeps warm in the
@@ -54,7 +51,7 @@ type warmState struct {
 func newWarmState(cfg Config, mem cache.Memory) warmState {
 	return warmState{
 		cfg:  cfg,
-		hier: cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem),
+		hier: cache.NewHierarchy(cfg.Hier, mem),
 		tour: predict.NewTournament(cfg.Tour),
 		line: predict.NewLine(cfg.Hier.L1I.SizeBytes / 16),
 		way:  predict.NewWay(cfg.Hier.L1I.Sets()),

@@ -144,9 +144,6 @@ func InitialBugs() Bugs {
 // DS-10L that sim-alpha does not model (Sections 4.1 and 5.1). The
 // reference machine enables them; no simulator does.
 type NativeExtras struct {
-	// PageColoring: the OS colors physical pages, controlling L2
-	// conflict behavior.
-	PageColoring bool
 	// ControllerPageOpt: the C/D-chip memory controller reorders to
 	// increase DRAM page hits (modeled as a page-hit bonus).
 	ControllerPageOpt bool
@@ -174,8 +171,6 @@ type Config struct {
 	Hier cache.HierarchyConfig
 	DRAM dram.Config
 	Tour predict.TournamentConfig
-	// NewMapper builds a fresh page mapper per run.
-	NewMapper func() vm.Mapper
 
 	// Widths and capacities.
 	FetchWidth    int // 4: one octaword
@@ -210,10 +205,6 @@ type Config struct {
 
 	// RAS capacity.
 	RASEntries int
-
-	// PipeTracer, when non-nil, receives one PipeEvent per retired
-	// instruction (see PipeTraceWriter).
-	PipeTracer PipeTracer
 }
 
 // Check verifies the configuration is runnable, returning a
@@ -237,10 +228,8 @@ func (c Config) Check() error {
 		return fmt.Errorf("alpha: RFReadCycles must be at least 1")
 	case c.RASEntries <= 0:
 		return fmt.Errorf("alpha: RASEntries must be positive")
-	case c.NewMapper == nil:
-		return fmt.Errorf("alpha: NewMapper is required")
 	}
-	return nil
+	return c.Hier.Check()
 }
 
 // DefaultConfig returns the validated sim-alpha configuration
@@ -252,7 +241,6 @@ func DefaultConfig() Config {
 		Hier:        cache.DS10L(),
 		DRAM:        dram.DS10LConfig(),
 		Tour:        predict.DefaultTournamentConfig(),
-		NewMapper:   func() vm.Mapper { return &vm.SeqMapper{} },
 
 		FetchWidth:    4,
 		MapWidth:      4,
@@ -322,7 +310,6 @@ func NativeConfig() Config {
 	cfg := DefaultConfig()
 	cfg.MachineName = "native-ds10l"
 	cfg.Extra = NativeExtras{
-		PageColoring:          true,
 		ControllerPageOpt:     true,
 		PALTLBMiss:            true,
 		CoarseTrapGranularity: true,
@@ -330,8 +317,8 @@ func NativeConfig() Config {
 	}
 	cfg.Hier.SharedMAF = true
 	cfg.TrapGranule = 32
-	colors := uint64(cfg.Hier.L2.SizeBytes / cfg.Hier.L2.Assoc / vm.PageSize)
-	cfg.NewMapper = func() vm.Mapper { return &vm.ColorMapper{Colors: colors} }
+	// The OS colors physical pages, controlling L2 conflict behavior.
+	cfg.Hier.Mapping = vm.Colored
 	// The tuned C/D-chip controller overlaps transfers with the next
 	// activation and spreads load over more banks: dependent chases
 	// (the calibration workloads) see almost the same latency, but

@@ -29,6 +29,8 @@ type Machine struct {
 	// a non-default memory backend is identified by a wrapper config
 	// at the registry layer (model.AlphaDDRConfig), never by this field.
 	newMem func() cache.Memory
+	// tracer, when set, observes every run (see NewTraced).
+	tracer PipeTracer
 }
 
 // New returns a machine for the configuration. It panics on a
@@ -50,6 +52,14 @@ func NewWithMemory(cfg Config, newMem func() cache.Memory) *Machine {
 	return m
 }
 
+// NewTraced returns a machine that reports every retired
+// instruction's pipeline stage times to t (see PipeTraceWriter).
+func NewTraced(cfg Config, t PipeTracer) *Machine {
+	m := New(cfg)
+	m.tracer = t
+	return m
+}
+
 // memory builds the machine's main-memory backend.
 func (m *Machine) memory() cache.Memory {
 	if m.newMem != nil {
@@ -67,6 +77,7 @@ func (m *Machine) Config() Config { return m.cfg }
 // Run implements core.Machine.
 func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	s := newSim(m.cfg, m.memory())
+	s.tracer = m.tracer
 	var err error
 	if s.src, s.cur, err = core.StartRun(m, checkpoint.ModelAlpha, w, &s.warmState); err != nil {
 		return core.RunResult{}, err
@@ -213,6 +224,8 @@ type sim struct {
 	// cur drives interval sampling when the workload requests it
 	// (nil — and every call on it a no-op — for full runs).
 	cur *core.SampleCursor
+
+	tracer PipeTracer // nil when untraced
 
 	// DebugMispredictPCs, when non-nil, counts direction mispredicts per PC.
 	DebugMispredictPCs map[uint64]uint64

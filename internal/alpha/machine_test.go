@@ -6,6 +6,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/vm"
 )
 
 // loopProg builds a program whose loop body is emitted by body and
@@ -337,7 +338,8 @@ func TestConfigCheck(t *testing.T) {
 		func(c *Config) { c.RenameRegs = 0 },
 		func(c *Config) { c.RFReadCycles = 0 },
 		func(c *Config) { c.RASEntries = 0 },
-		func(c *Config) { c.NewMapper = nil },
+		func(c *Config) { c.Hier.Mapping = vm.Hashed + 1 },
+		func(c *Config) { c.Hier.Mapping, c.Hier.L2.SizeBytes = vm.Colored, vm.PageSize/2 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

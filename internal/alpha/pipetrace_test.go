@@ -16,9 +16,7 @@ func TestPipeTraceInvariants(t *testing.T) {
 		b.Unop(1)
 	})
 	var col PipeEventCollector
-	cfg := DefaultConfig()
-	cfg.PipeTracer = &col
-	if _, err := New(cfg).Run(w); err != nil {
+	if _, err := NewTraced(DefaultConfig(), &col).Run(w); err != nil {
 		t.Fatal(err)
 	}
 	if len(col.Events) == 0 {
@@ -70,9 +68,7 @@ func TestPipeTraceTextFormat(t *testing.T) {
 		b.OpI(isa.OpAddq, isa.T0, 1, isa.T0)
 	})
 	var buf bytes.Buffer
-	cfg := DefaultConfig()
-	cfg.PipeTracer = PipeTraceWriter(&buf)
-	if _, err := New(cfg).Run(w); err != nil {
+	if _, err := NewTraced(DefaultConfig(), PipeTraceWriter(&buf)).Run(w); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/vm"
 )
 
 func BenchmarkCacheProbeHit(b *testing.B) {
@@ -17,7 +16,7 @@ func BenchmarkCacheProbeHit(b *testing.B) {
 }
 
 func BenchmarkHierarchyDataResident(b *testing.B) {
-	h := NewHierarchy(DS10L(), &vm.SeqMapper{}, dram.New(dram.DS10LConfig()))
+	h := NewHierarchy(DS10L(), dram.New(dram.DS10LConfig()))
 	h.Data(0x1000, false, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,7 +38,7 @@ func BenchmarkSplitMAFStream(b *testing.B) {
 func benchMAF(b *testing.B, shared bool) {
 	cfg := DS10L()
 	cfg.SharedMAF = shared
-	h := NewHierarchy(cfg, &vm.SeqMapper{}, dram.New(dram.DS10LConfig()))
+	h := NewHierarchy(cfg, dram.New(dram.DS10LConfig()))
 	now := uint64(0)
 	var total int
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+
 	"repro/internal/events"
 	"repro/internal/mem"
 	"repro/internal/vm"
@@ -29,6 +31,25 @@ type HierarchyConfig struct {
 
 	ITLBEntries int
 	DTLBEntries int
+
+	// Mapping is the page-mapping policy. Colored takes one color per
+	// page of an L2 way (see pageColors).
+	Mapping vm.Mapping
+}
+
+// pageColors is the number of L2 page colors: L2 size / associativity
+// / page size.
+func (c HierarchyConfig) pageColors() uint64 {
+	return uint64(c.L2.SizeBytes / c.L2.Assoc / vm.PageSize)
+}
+
+// Check rejects a mapping policy the hierarchy cannot build: a value
+// naming no policy, or page coloring on an L2 way smaller than a page.
+func (c HierarchyConfig) Check() error {
+	if c.Mapping == vm.Colored && (c.L2.Assoc <= 0 || c.pageColors() == 0) {
+		return fmt.Errorf("cache: page coloring needs an L2 way of at least one page")
+	}
+	return c.Mapping.Check()
 }
 
 // DS10L returns the DS-10L memory system from the paper: 64KB 2-way
@@ -94,9 +115,9 @@ type Hierarchy struct {
 	Prefetches uint64
 }
 
-// NewHierarchy builds a hierarchy from a configuration, a mapping
-// policy, and a main-memory backend.
-func NewHierarchy(cfg HierarchyConfig, mapper vm.Mapper, mem Memory) *Hierarchy {
+// NewHierarchy builds a hierarchy, with a fresh mapper for its
+// mapping policy, from a configuration and a main-memory backend.
+func NewHierarchy(cfg HierarchyConfig, mem Memory) *Hierarchy {
 	h := &Hierarchy{
 		Cfg:       cfg,
 		L1I:       New(cfg.L1I),
@@ -105,7 +126,7 @@ func NewHierarchy(cfg HierarchyConfig, mapper vm.Mapper, mem Memory) *Hierarchy 
 		ITLB:      vm.NewTLB(cfg.ITLBEntries),
 		DTLB:      vm.NewTLB(cfg.DTLBEntries),
 		Mem:       mem,
-		Mapper:    mapper,
+		Mapper:    cfg.Mapping.Mapper(cfg.pageColors()),
 		lastVPage: ^uint64(0),
 	}
 	if cfg.VictimEntries > 0 {

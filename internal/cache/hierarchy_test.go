@@ -8,7 +8,7 @@ import (
 )
 
 func newHier() *Hierarchy {
-	return NewHierarchy(DS10L(), &vm.SeqMapper{}, dram.New(dram.DS10LConfig()))
+	return NewHierarchy(DS10L(), dram.New(dram.DS10LConfig()))
 }
 
 // identity pre-touches pages 0..n in ascending order so that the
@@ -92,7 +92,7 @@ func TestVictimBufferPath(t *testing.T) {
 func TestNoVictimBuffer(t *testing.T) {
 	cfg := DS10L()
 	cfg.VictimEntries = 0
-	h := NewHierarchy(cfg, &vm.SeqMapper{}, dram.New(dram.DS10LConfig()))
+	h := NewHierarchy(cfg, dram.New(dram.DS10LConfig()))
 	identity(h, 64)
 	l1SetStride := uint64(cfg.L1D.Sets() * cfg.L1D.BlockBytes)
 	// Base 0x4000 keeps the conflict set clear of the L2 sets that
@@ -166,7 +166,7 @@ func TestSharedMAFContention(t *testing.T) {
 	cfg := DS10L()
 	cfg.SharedMAF = true
 	cfg.MAFEntries = 2
-	h := NewHierarchy(cfg, &vm.SeqMapper{}, dram.New(dram.DS10LConfig()))
+	h := NewHierarchy(cfg, dram.New(dram.DS10LConfig()))
 	// Two outstanding data misses fill the shared MAF; an instruction
 	// miss at the same instant must stall for a free entry.
 	h.Data(0x100000, false, 0)
@@ -178,8 +178,10 @@ func TestSharedMAFContention(t *testing.T) {
 }
 
 func TestPageColoringChangesPhysicalLayout(t *testing.T) {
-	seq := NewHierarchy(DS10L(), &vm.SeqMapper{}, dram.New(dram.DS10LConfig()))
-	col := NewHierarchy(DS10L(), &vm.ColorMapper{Colors: 128}, dram.New(dram.DS10LConfig()))
+	seq := NewHierarchy(DS10L(), dram.New(dram.DS10LConfig()))
+	colored := DS10L()
+	colored.Mapping = vm.Colored
+	col := NewHierarchy(colored, dram.New(dram.DS10LConfig()))
 	va := uint64(37 * vm.PageSize)
 	seq.Data(0x1000, false, 0) // consume a frame first so layouts diverge
 	a := seq.Data(va, false, 100).PAddr

@@ -19,6 +19,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
 	"repro/internal/events"
+	"repro/internal/fingerprint"
 )
 
 // Workload is one benchmark: a program (or a recorded trace) plus an
@@ -58,6 +59,18 @@ type Workload struct {
 	// MaxInstructions counts only the remainder. Mutually exclusive
 	// with WarmFastForward, NewSource, and FastForward.
 	Checkpoint *checkpoint.State
+}
+
+// ID renders the workload's result-cache identity — name,
+// fast-forward, instruction budget and category — as a canonical
+// fingerprint part, the one every cache key over a workload uses.
+func (w Workload) ID() string {
+	return fingerprint.Of(struct {
+		Name        string
+		FastForward uint64
+		Max         uint64
+		Category    string
+	}{w.Name, w.FastForward, w.MaxInstructions, w.Category})
 }
 
 // Source returns a fresh dynamic instruction stream for the workload.

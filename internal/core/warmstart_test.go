@@ -9,7 +9,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/vm"
 )
 
 type fakeMachine struct{}
@@ -27,7 +26,7 @@ type fakeWarm struct {
 }
 
 func newFakeWarm() *fakeWarm {
-	return &fakeWarm{hier: cache.NewHierarchy(cache.DS10L(), &vm.SeqMapper{}, dram.New(dram.DS10LConfig()))}
+	return &fakeWarm{hier: cache.NewHierarchy(cache.DS10L(), dram.New(dram.DS10LConfig()))}
 }
 
 func (f *fakeWarm) Hierarchy() *cache.Hierarchy { return f.hier }

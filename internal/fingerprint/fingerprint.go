@@ -1,9 +1,14 @@
 // Package fingerprint renders configuration values into canonical,
 // deterministic strings. It is the common content-addressing
 // primitive behind the simcache result cache and the checkpoint
-// compatibility fingerprints: two values with equal observable
-// (exported, non-opaque) content always render identically, and any
-// change to an exported scalar field always changes the rendering.
+// compatibility fingerprints: two values with equal exported content
+// always render identically, and any change to an exported scalar
+// field always changes the rendering. The values it renders are plain
+// data — scalars, strings, and structs, pointers, slices, arrays and
+// maps of them. A function, channel or unsafe pointer has no content
+// to render, so Of panics on one: configuration that carries one is a
+// programming error, which internal/model's completeness test catches
+// for every registered backend.
 package fingerprint
 
 import (
@@ -28,23 +33,17 @@ import (
 //     content is rendered, never its address, so two pointers to
 //     equal values alias (that is the point: content addressing).
 //     Nil renders as "<nil>".
-//   - Function, channel, and unsafe-pointer values — machine configs
-//     carry factory closures such as alpha.Config.NewMapper —
-//     contribute only their static type and nil-ness. Two DIFFERENT
-//     non-nil closures of the same type therefore fingerprint
-//     identically. Callers that mutate such fields between runs must
-//     not rely on the fingerprint to tell the variants apart; this is
-//     why sweep.Space.Check rejects axes over fingerprint-opaque
-//     fields outright.
+//   - Function, channel, and unsafe-pointer values panic, naming the
+//     type: they have no content to address.
 //   - Map entries are sorted by their rendered form; slices and
 //     arrays keep element order.
 //   - Floats render in shortest 64-bit round-trip form, so equal
 //     values fingerprint equally regardless of how they were written.
 //
-// Under that contract, two configurations with equal observable
-// (exported, non-opaque) content always fingerprint identically, and
-// any change to a single exported scalar field — a mutated sweep
-// point — always changes the fingerprint.
+// Under that contract, two configurations with equal exported content
+// always fingerprint identically, and any change to a single exported
+// scalar field — a mutated sweep point — always changes the
+// fingerprint.
 func Of(v any) string {
 	var b strings.Builder
 	writeCanonical(&b, reflect.ValueOf(v))
@@ -102,12 +101,6 @@ func writeCanonical(b *strings.Builder, v reflect.Value) {
 			b.WriteByte(';')
 		}
 		b.WriteByte(']')
-	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
-		if v.Kind() != reflect.UnsafePointer && v.IsNil() {
-			b.WriteString("<nil>")
-		} else {
-			fmt.Fprintf(b, "<opaque %s>", v.Type())
-		}
 	case reflect.String:
 		b.WriteString(strconv.Quote(v.String()))
 	case reflect.Bool:
@@ -120,7 +113,7 @@ func writeCanonical(b *strings.Builder, v reflect.Value) {
 		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
 	case reflect.Complex64, reflect.Complex128:
 		fmt.Fprintf(b, "%v", v.Complex())
-	default:
-		fmt.Fprintf(b, "<unhandled %s>", v.Type())
+	default: // func, chan, unsafe pointer
+		panic(fmt.Sprintf("fingerprint: %s is not plain data", v.Type()))
 	}
 }

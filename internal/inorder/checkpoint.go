@@ -9,8 +9,8 @@ import (
 	"repro/internal/predict"
 )
 
-// Compat fingerprints the warm-relevant configuration: the hierarchy,
-// the bimodal table geometry, and the mapping policy.
+// Compat fingerprints the warm-relevant configuration: the hierarchy
+// (mapping policy included) and the bimodal table geometry.
 func (m *Machine) Compat() string {
 	m.compatOnce.Do(func() { m.compat = compatOf(m.cfg) })
 	return m.compat
@@ -21,8 +21,7 @@ func compatOf(cfg Config) string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
 		Hier        cache.HierarchyConfig
 		BimodalBits int
-		Mapper      string
-	}{cfg.Hier, cfg.BimodalBits, cfg.NewMapper().Name()})))
+	}{cfg.Hier, cfg.BimodalBits})))
 }
 
 // warmState holds what functional warming keeps warm in the in-order
@@ -35,7 +34,7 @@ type warmState struct {
 
 func newWarmState(cfg Config, mem cache.Memory) warmState {
 	return warmState{
-		hier:    cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem),
+		hier:    cache.NewHierarchy(cfg.Hier, mem),
 		bimodal: predict.NewCounters(1<<cfg.BimodalBits, 2, 1),
 	}
 }

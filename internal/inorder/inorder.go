@@ -23,7 +23,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/isa"
 	"repro/internal/predict"
-	"repro/internal/vm"
 )
 
 // Config describes the in-order machine.
@@ -35,10 +34,12 @@ type Config struct {
 	// BimodalBits sizes the 2-bit-counter direction predictor table.
 	BimodalBits int
 
-	Hier      cache.HierarchyConfig
-	DRAM      dram.Config
-	NewMapper func() vm.Mapper
+	Hier cache.HierarchyConfig
+	DRAM dram.Config
 }
+
+// Check verifies the configuration is runnable.
+func (c Config) Check() error { return c.Hier.Check() }
 
 // DefaultConfig returns the machine with DS-10L-like caches.
 func DefaultConfig() Config {
@@ -50,7 +51,6 @@ func DefaultConfig() Config {
 		BimodalBits:   11,
 		Hier:          hier,
 		DRAM:          dram.DS10LConfig(),
-		NewMapper:     func() vm.Mapper { return &vm.SeqMapper{} },
 	}
 }
 

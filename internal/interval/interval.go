@@ -27,7 +27,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/isa"
 	"repro/internal/predict"
-	"repro/internal/vm"
 )
 
 // Config describes the interval estimator. The cache hierarchy and
@@ -56,9 +55,8 @@ type Config struct {
 	// measure the misprediction count.
 	BimodalBits int
 
-	Hier      cache.HierarchyConfig
-	DRAM      dram.Config
-	NewMapper func() vm.Mapper
+	Hier cache.HierarchyConfig
+	DRAM dram.Config
 }
 
 // DefaultConfig returns the estimator parameterized for the DS-10L
@@ -77,7 +75,6 @@ func DefaultConfig() Config {
 		BimodalBits:   11,
 		Hier:          hier,
 		DRAM:          dram.DS10LConfig(),
-		NewMapper:     func() vm.Mapper { return &vm.SeqMapper{} },
 	}
 }
 
@@ -96,7 +93,7 @@ func (c Config) Check() error {
 	if c.BimodalBits < 1 || c.BimodalBits > 24 {
 		return fmt.Errorf("interval: BimodalBits %d out of range [1,24]", c.BimodalBits)
 	}
-	return nil
+	return c.Hier.Check()
 }
 
 // Machine implements core.Machine.
@@ -152,7 +149,7 @@ func (m *Machine) Run(w core.Workload) (core.RunResult, error) {
 	if err := m.cfg.Check(); err != nil {
 		return core.RunResult{}, err
 	}
-	hier := cache.NewHierarchy(m.cfg.Hier, m.cfg.NewMapper(), m.memory())
+	hier := cache.NewHierarchy(m.cfg.Hier, m.memory())
 	bimodal := predict.NewCounters(1<<m.cfg.BimodalBits, 2, 1)
 	src := w.Source()
 

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -33,9 +34,6 @@ type (
 	// DCPIConfig configures the emulated sampling profiler that the
 	// reference machine is measured through.
 	DCPIConfig = dcpi.Config
-	// AlphaPipeTracer receives per-instruction pipeline events when
-	// set on an AlphaConfig.
-	AlphaPipeTracer = alpha.PipeTracer
 	// DDRConfig configures the cycle-accurate DDR memory subsystem a
 	// machine can opt into instead of the flat SDRAM model.
 	DDRConfig = ddr.Config
@@ -130,17 +128,18 @@ func AlphaFeatures() []string {
 	return out
 }
 
-// AlphaPipeTraceWriter returns a tracer writing one text line per
-// retired instruction to w (SimpleScalar ptrace's counterpart).
-func AlphaPipeTraceWriter(w io.Writer) AlphaPipeTracer {
-	return alpha.PipeTraceWriter(w)
-}
-
 // Per-family constructors, for consumers that build machines at swept
 // or mutated configurations rather than the registered defaults.
 
 // NewAlpha builds a 21264-family machine at cfg.
 func NewAlpha(cfg AlphaConfig) core.Machine { return alpha.New(cfg) }
+
+// NewAlphaTraced builds a 21264-family machine at cfg that writes one
+// text line of pipeline stage times per retired instruction to w
+// (SimpleScalar ptrace's counterpart).
+func NewAlphaTraced(cfg AlphaConfig, w io.Writer) core.Machine {
+	return alpha.NewTraced(cfg, alpha.PipeTraceWriter(w))
+}
 
 // NewRUU builds an RUU machine at cfg.
 func NewRUU(cfg RUUConfig) core.Machine { return ruu.New(cfg) }
@@ -167,55 +166,36 @@ func MeasureDCPI(cfg DCPIConfig, r core.RunResult) core.RunResult {
 // backend name — identifies the machine. Unknown configuration types
 // return an error wrapping ErrUnknownBackend.
 func Build(cfg any) (core.Machine, error) {
+	var check error
+	var build func() core.Machine
 	switch c := cfg.(type) {
 	case AlphaConfig:
-		if err := c.Check(); err != nil {
-			return nil, err
-		}
-		return alpha.New(c), nil
+		check, build = c.Check(), func() core.Machine { return alpha.New(c) }
 	case RUUConfig:
-		if err := c.Check(); err != nil {
-			return nil, err
-		}
-		return ruu.New(c), nil
+		check, build = c.Check(), func() core.Machine { return ruu.New(c) }
 	case InorderConfig:
-		return inorder.New(c), nil
+		check, build = c.Check(), func() core.Machine { return inorder.New(c) }
 	case IntervalConfig:
-		if err := c.Check(); err != nil {
-			return nil, err
-		}
-		return interval.New(c), nil
+		check, build = c.Check(), func() core.Machine { return interval.New(c) }
 	case AlphaDDRConfig:
-		if err := c.Core.Check(); err != nil {
-			return nil, err
-		}
-		if err := c.DDR.Check(); err != nil {
-			return nil, err
-		}
-		return alpha.NewWithMemory(c.Core, newDDR(c.DDR)), nil
+		check = errors.Join(c.Core.Check(), c.DDR.Check())
+		build = func() core.Machine { return alpha.NewWithMemory(c.Core, newDDR(c.DDR)) }
 	case RUUDDRConfig:
-		if err := c.Core.Check(); err != nil {
-			return nil, err
-		}
-		if err := c.DDR.Check(); err != nil {
-			return nil, err
-		}
-		return ruu.NewWithMemory(c.Core, newDDR(c.DDR)), nil
+		check = errors.Join(c.Core.Check(), c.DDR.Check())
+		build = func() core.Machine { return ruu.NewWithMemory(c.Core, newDDR(c.DDR)) }
 	case InorderDDRConfig:
-		if err := c.DDR.Check(); err != nil {
-			return nil, err
-		}
-		return inorder.NewWithMemory(c.Core, newDDR(c.DDR)), nil
+		check = errors.Join(c.Core.Check(), c.DDR.Check())
+		build = func() core.Machine { return inorder.NewWithMemory(c.Core, newDDR(c.DDR)) }
 	case IntervalDDRConfig:
-		if err := c.Core.Check(); err != nil {
-			return nil, err
-		}
-		if err := c.DDR.Check(); err != nil {
-			return nil, err
-		}
-		return interval.NewWithMemory(c.Core, newDDR(c.DDR)), nil
+		check = errors.Join(c.Core.Check(), c.DDR.Check())
+		build = func() core.Machine { return interval.NewWithMemory(c.Core, newDDR(c.DDR)) }
+	default:
+		return nil, fmt.Errorf("%w: no builder for config type %T", ErrUnknownBackend, cfg)
 	}
-	return nil, fmt.Errorf("%w: no builder for config type %T", ErrUnknownBackend, cfg)
+	if check != nil {
+		return nil, check
+	}
+	return build(), nil
 }
 
 // newDDR is the memory-backend factory handed to NewWithMemory: each

@@ -8,9 +8,10 @@
 // imports a concrete model package; the layering is enforced by a CI
 // grep.
 //
-// Capability flags are not declared — they are *discovered*, by
-// interface assertion against a freshly constructed machine
-// (core.CheckpointRecorder, core.SampleCapable, core.StackCapable).
+// Capability flags are not declared — they are *discovered* once, at
+// registration, by interface assertion against a freshly constructed
+// machine (core.CheckpointRecorder, core.SampleCapable,
+// core.StackCapable).
 // A backend cannot claim a capability its type does not implement,
 // and a new capability interface extends every descriptor at once.
 package model
@@ -64,7 +65,8 @@ type Capabilities struct {
 
 // Descriptor registers one backend. Config content-addresses the
 // machine for result caching — it must be comparable structured data
-// whose fingerprint changes whenever timing-relevant behavior does.
+// whose fingerprint changes whenever timing-relevant behavior does:
+// plain data, with no func, chan, interface or unexported field.
 type Descriptor struct {
 	// Name is the registry key ("sim-alpha", "native-ds10l", ...).
 	Name string
@@ -77,17 +79,15 @@ type Descriptor struct {
 	Config any
 	// New constructs a fresh machine at the canonical configuration.
 	New func() core.Machine
+
+	// caps holds the capability flags Register discovered.
+	caps Capabilities
 }
 
-// Capabilities discovers the backend's capability flags by asserting
-// the relevant interfaces against a fresh machine.
-func (d Descriptor) Capabilities() Capabilities {
-	m := d.New()
-	_, ckpt := m.(core.CheckpointRecorder)
-	_, smpl := m.(core.SampleCapable)
-	_, stack := m.(core.StackCapable)
-	return Capabilities{Checkpointable: ckpt, Samplable: smpl, CPIStack: stack}
-}
+// Capabilities returns the backend's capability flags, discovered at
+// registration by asserting the capability interfaces against a fresh
+// machine.
+func (d Descriptor) Capabilities() Capabilities { return d.caps }
 
 // registry holds the backends in registration order; byName indexes
 // it. Registration happens in this package's init (backends.go), so
@@ -97,9 +97,10 @@ var (
 	byName   = make(map[string]int)
 )
 
-// Register adds a backend. It panics on an empty or duplicate name,
-// an invalid tier, or a nil constructor — registration errors are
-// programming errors, caught by the package's own tests.
+// Register adds a backend and discovers its capabilities. It panics
+// on an empty or duplicate name, an invalid tier, or a nil constructor
+// — registration errors are programming errors, caught by the
+// package's own tests.
 func Register(d Descriptor) {
 	if d.Name == "" {
 		panic("model: Register with empty name")
@@ -113,6 +114,10 @@ func Register(d Descriptor) {
 	if d.New == nil {
 		panic(fmt.Sprintf("model: backend %q has nil constructor", d.Name))
 	}
+	m := d.New()
+	_, d.caps.Checkpointable = m.(core.CheckpointRecorder)
+	_, d.caps.Samplable = m.(core.SampleCapable)
+	_, d.caps.CPIStack = m.(core.StackCapable)
 	byName[d.Name] = len(registry)
 	registry = append(registry, d)
 }

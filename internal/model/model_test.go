@@ -2,6 +2,8 @@ package model
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,19 +57,25 @@ func TestNamesMatchMachines(t *testing.T) {
 	}
 }
 
-// TestCapabilitiesMatchAssertions checks every backend's discovered
-// flags against direct interface assertions on a fresh machine — the
-// registry must never diverge from what the types implement.
+// TestCapabilitiesMatchAssertions checks every backend's stored flags,
+// as Backends and ByName return them, against direct interface
+// assertions on a fresh machine — the registry must never diverge
+// from what the types implement.
 func TestCapabilitiesMatchAssertions(t *testing.T) {
 	for _, d := range Backends() {
 		m := d.New()
 		_, ckpt := m.(core.CheckpointRecorder)
 		_, smpl := m.(core.SampleCapable)
 		_, stack := m.(core.StackCapable)
-		caps := d.Capabilities()
-		if caps.Checkpointable != ckpt || caps.Samplable != smpl || caps.CPIStack != stack {
-			t.Errorf("%s: Capabilities() %+v, assertions ckpt=%v smpl=%v stack=%v",
-				d.Name, caps, ckpt, smpl, stack)
+		want := Capabilities{Checkpointable: ckpt, Samplable: smpl, CPIStack: stack}
+		byName, err := ByName(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, caps := range []Capabilities{d.Capabilities(), byName.Capabilities()} {
+			if caps != want {
+				t.Errorf("%s: Capabilities() %+v, assertions %+v", d.Name, caps, want)
+			}
 		}
 	}
 }
@@ -198,21 +206,20 @@ func compatOf(cfg any) (tag string, ok bool) {
 		return compatOf(c.Core)
 	case AlphaConfig:
 		return hash(struct {
-			Hier   cache.HierarchyConfig
-			Tour   predict.TournamentConfig
-			Mapper string
-		}{c.Hier, c.Tour, c.NewMapper().Name()}), true
+			Hier       cache.HierarchyConfig
+			Tour       predict.TournamentConfig
+			IPrefetch  bool
+			FetchWidth int
+		}{c.Hier, c.Tour, c.Feat.IPrefetch, c.FetchWidth}), true
 	case RUUConfig:
 		return hash(struct {
-			Hier   cache.HierarchyConfig
-			Mapper string
-		}{c.Hier, c.NewMapper().Name()}), true
+			Hier cache.HierarchyConfig
+		}{c.Hier}), true
 	case InorderConfig:
 		return hash(struct {
 			Hier        cache.HierarchyConfig
 			BimodalBits int
-			Mapper      string
-		}{c.Hier, c.BimodalBits, c.NewMapper().Name()}), true
+		}{c.Hier, c.BimodalBits}), true
 	}
 	return "", false
 }
@@ -249,4 +256,103 @@ func TestCompatCachedMatchesComputation(t *testing.T) {
 			t.Errorf("%s: built Compat() = %s, want %s", d.Name, got, want)
 		}
 	}
+}
+
+// TestConfigFingerprintComplete checks that every registered
+// backend's configuration is plain data that content addressing sees
+// in full. A reachable func, chan or interface has no content to
+// fingerprint, and fingerprint.Of skips unexported fields, so either
+// would let two different machines share a cache key and a checkpoint
+// tag. Every exported leaf is then perturbed in turn, and each
+// perturbation must change the fingerprint.
+func TestConfigFingerprintComplete(t *testing.T) {
+	for _, d := range Backends() {
+		if !plainData(t, d.Name, reflect.TypeOf(d.Config)) {
+			continue
+		}
+		cfg := reflect.New(reflect.TypeOf(d.Config)).Elem()
+		cfg.Set(reflect.ValueOf(d.Config))
+		base := fingerprint.Of(cfg.Interface())
+		changed := func() bool { return fingerprint.Of(cfg.Interface()) != base }
+		if n := perturbLeaves(t, d.Name, cfg, changed); n == 0 {
+			t.Errorf("%s: configuration has no leaves to perturb", d.Name)
+		}
+		if changed() {
+			t.Errorf("%s: fingerprint differs after every leaf was restored", d.Name)
+		}
+	}
+}
+
+// plainData reports whether values of typ hold only exported
+// scalars, strings, and structs, arrays, slices and pointers of them,
+// naming each offending field under path.
+func plainData(t *testing.T, path string, typ reflect.Type) bool {
+	t.Helper()
+	switch typ.Kind() {
+	case reflect.Struct:
+		ok := true
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				t.Errorf("%s.%s: unexported field, invisible to the fingerprint", path, f.Name)
+				ok = false
+				continue
+			}
+			ok = plainData(t, path+"."+f.Name, f.Type) && ok
+		}
+		return ok
+	case reflect.Array, reflect.Slice, reflect.Pointer:
+		return plainData(t, path+"[]", typ.Elem())
+	case reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer, reflect.Map:
+		t.Errorf("%s: %s is not plain configuration data", path, typ)
+		return false
+	}
+	return true
+}
+
+// perturbLeaves changes each scalar or string leaf under v in turn,
+// reports any change changed does not see, restores the leaf, and
+// returns the number of leaves perturbed.
+func perturbLeaves(t *testing.T, path string, v reflect.Value, changed func() bool) int {
+	t.Helper()
+	n := 0
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += perturbLeaves(t, path+"."+v.Type().Field(i).Name, v.Field(i), changed)
+		}
+		return n
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			n += perturbLeaves(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i), changed)
+		}
+		return n
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return perturbLeaves(t, path, v.Elem(), changed)
+	}
+	old := reflect.New(v.Type()).Elem()
+	old.Set(v)
+	switch {
+	case v.Kind() == reflect.Bool:
+		v.SetBool(!v.Bool())
+	case v.CanInt():
+		v.SetInt(v.Int() + 1)
+	case v.CanUint():
+		v.SetUint(v.Uint() + 1)
+	case v.CanFloat():
+		v.SetFloat(v.Float()*2 + 1)
+	case v.Kind() == reflect.String:
+		v.SetString(v.String() + "'")
+	default:
+		t.Errorf("%s: no perturbation for kind %s", path, v.Kind())
+		return 0
+	}
+	if !changed() {
+		t.Errorf("%s: perturbing it leaves the fingerprint unchanged", path)
+	}
+	v.Set(old)
+	return 1
 }

@@ -11,7 +11,7 @@ import (
 // Compat fingerprints the warm-relevant configuration. The RUU model
 // warms caches only (the gshare predictor's index couples to the
 // speculative global history, so it is left to warmup windows), so
-// the fingerprint covers the hierarchy and the mapping policy.
+// the fingerprint covers the hierarchy, mapping policy included.
 func (m *Machine) Compat() string {
 	m.compatOnce.Do(func() { m.compat = compatOf(m.cfg) })
 	return m.compat
@@ -20,9 +20,8 @@ func (m *Machine) Compat() string {
 // compatOf computes the Compat tag of a configuration.
 func compatOf(cfg Config) string {
 	return checkpoint.Hash([]byte(fingerprint.Of(struct {
-		Hier   cache.HierarchyConfig
-		Mapper string
-	}{cfg.Hier, cfg.NewMapper().Name()})))
+		Hier cache.HierarchyConfig
+	}{cfg.Hier})))
 }
 
 // warmState holds what functional warming keeps warm in the RUU
@@ -33,7 +32,7 @@ type warmState struct {
 }
 
 func newWarmState(cfg Config, mem cache.Memory) warmState {
-	return warmState{hier: cache.NewHierarchy(cfg.Hier, cfg.NewMapper(), mem)}
+	return warmState{hier: cache.NewHierarchy(cfg.Hier, mem)}
 }
 
 // Hierarchy implements core.Warm.

@@ -24,7 +24,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/isa"
 	"repro/internal/predict"
-	"repro/internal/vm"
 )
 
 // Config describes one RUU machine.
@@ -58,9 +57,8 @@ type Config struct {
 	BTBAssoc   int
 	RASEntries int
 
-	Hier      cache.HierarchyConfig
-	DRAM      dram.Config
-	NewMapper func() vm.Mapper
+	Hier cache.HierarchyConfig
+	DRAM dram.Config
 }
 
 // DefaultConfig returns sim-outorder configured as in Section 5.1: a
@@ -91,7 +89,6 @@ func DefaultConfig() Config {
 		RASEntries:   8,
 		Hier:         hier,
 		DRAM:         flatDRAM(),
-		NewMapper:    func() vm.Mapper { return &vm.SeqMapper{} },
 	}
 }
 
@@ -162,10 +159,8 @@ func (c Config) Check() error {
 		return fmt.Errorf("ruu: predictor geometry must be positive")
 	case c.RFReadCycles < 1:
 		return fmt.Errorf("ruu: RFReadCycles must be at least 1")
-	case c.NewMapper == nil:
-		return fmt.Errorf("ruu: NewMapper is required")
 	}
-	return nil
+	return c.Hier.Check()
 }
 
 // New returns a machine for the configuration; it panics on a

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/diskstore"
+	"repro/internal/fingerprint"
 	"repro/internal/simcache"
 	"repro/internal/workgen"
 )
@@ -117,8 +118,8 @@ func TestGenerateMintRunAndCacheNamespace(t *testing.T) {
 
 	// The namespace split itself: for identical config and workload
 	// fingerprints, the generated key can never equal a builtin key.
-	cfgFP := simcache.Fingerprint(struct{ X int }{1})
-	workID := simcache.Fingerprint(struct{ Y int }{2})
+	cfgFP := fingerprint.Of(struct{ X int }{1})
+	workID := fingerprint.Of(struct{ Y int }{2})
 	if simcache.KeyOf("workgen/v1", cfgFP, workID) == simcache.KeyOf("run/v1", cfgFP, workID) {
 		t.Fatal("workgen/v1 and run/v1 namespaces collide for identical inputs")
 	}

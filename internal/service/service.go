@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/fingerprint"
 	"repro/internal/macrobench"
 	"repro/internal/metrics"
 	"repro/internal/microbench"
@@ -343,7 +344,7 @@ func (s *Server) handleMachines(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, machineInfo{
 			Name:         m.Name,
 			Description:  m.Description,
-			Fingerprint:  simcache.KeyOf("machine", simcache.Fingerprint(m.Config)).String()[:12],
+			Fingerprint:  simcache.KeyOf("machine", fingerprint.Of(m.Config)).String()[:12],
 			Tier:         string(m.Tier),
 			Capabilities: m.Capabilities(),
 		})
@@ -538,17 +539,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if p.Limit > 0 && (work.MaxInstructions == 0 || work.MaxInstructions > p.Limit) {
 		work.MaxInstructions = p.Limit
 	}
-	workID := simcache.Fingerprint(struct {
-		Name        string
-		FastForward uint64
-		Max         uint64
-		Category    string
-	}{work.Name, work.FastForward, work.MaxInstructions, work.Category})
 	// Generated workloads live under their own workgen/v1 namespace —
 	// builtin run/v1 and sample/v1 key bytes are untouched by minting,
 	// and a generated result can never alias a builtin one even if a
 	// name were reused.
-	var key simcache.Key
+	ns := []string{"run/v1"}
+	switch {
+	case wl.gen != nil && p.Sample:
+		ns = []string{"workgen/v1", "sample"}
+	case wl.gen != nil:
+		ns = []string{"workgen/v1"}
+	case p.Sample:
+		ns = []string{"sample/v1"}
+	}
+	parts := append(ns, fingerprint.Of(spec.Config), work.ID())
 	if p.Sample {
 		plan := p.samplePlan(work.MaxInstructions)
 		if err := plan.Check(); err != nil {
@@ -556,34 +560,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		work.Sample = &plan
-		if wl.gen != nil {
-			key = simcache.KeyOf(
-				"workgen/v1", "sample",
-				simcache.Fingerprint(spec.Config),
-				workID,
-				simcache.Fingerprint(plan),
-			)
-		} else {
-			key = simcache.KeyOf(
-				"sample/v1",
-				simcache.Fingerprint(spec.Config),
-				workID,
-				simcache.Fingerprint(plan),
-			)
-		}
-	} else if wl.gen != nil {
-		key = simcache.KeyOf(
-			"workgen/v1",
-			simcache.Fingerprint(spec.Config),
-			workID,
-		)
-	} else {
-		key = simcache.KeyOf(
-			"run/v1",
-			simcache.Fingerprint(spec.Config),
-			workID,
-		)
+		parts = append(parts, fingerprint.Of(plan))
 	}
+	key := simcache.KeyOf(parts...)
 
 	s.serveCached(w, r, key, func() ([]byte, error) {
 		s.acquire()

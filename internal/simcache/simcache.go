@@ -16,17 +16,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"repro/internal/fingerprint"
 	"sync"
 )
-
-// Fingerprint renders an arbitrary configuration value into a
-// canonical, deterministic string for use as a KeyOf part. It is
-// fingerprint.Of: see that package for the exact rendering contract
-// (declaration-order exported struct fields, dereferenced pointers,
-// opaque function values, sorted map entries, shortest-round-trip
-// floats).
-func Fingerprint(v any) string { return fingerprint.Of(v) }
 
 // DefaultCapacity is the entry bound used when New is given a
 // non-positive capacity.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/model"
 )
 
@@ -183,21 +185,21 @@ func TestPanicConvertedToError(t *testing.T) {
 // TestFingerprintDeterministic pins the canonical-rendering contract
 // on the real machine configurations the service hashes.
 func TestFingerprintDeterministic(t *testing.T) {
-	a1 := Fingerprint(model.DefaultAlphaConfig())
-	a2 := Fingerprint(model.DefaultAlphaConfig())
+	a1 := fingerprint.Of(model.DefaultAlphaConfig())
+	a2 := fingerprint.Of(model.DefaultAlphaConfig())
 	if a1 != a2 {
 		t.Fatal("two renderings of the same config differ")
 	}
-	if a1 == Fingerprint(model.SimInitialConfig()) {
+	if a1 == fingerprint.Of(model.SimInitialConfig()) {
 		t.Fatal("sim-alpha and sim-initial configs fingerprint identically")
 	}
-	if a1 == Fingerprint(model.DefaultRUUConfig()) {
+	if a1 == fingerprint.Of(model.DefaultRUUConfig()) {
 		t.Fatal("alpha and ruu configs fingerprint identically")
 	}
 
 	cfg := model.DefaultAlphaConfig()
 	cfg.ROB++
-	if a1 == Fingerprint(cfg) {
+	if a1 == fingerprint.Of(cfg) {
 		t.Fatal("changing ROB size did not change the fingerprint")
 	}
 }
@@ -213,10 +215,10 @@ func TestFingerprintSkipsUnexportedFields(t *testing.T) {
 	}
 	a := cfg{Size: 8, scratch: 1}
 	b := cfg{Size: 8, scratch: 99}
-	if Fingerprint(a) != Fingerprint(b) {
+	if fingerprint.Of(a) != fingerprint.Of(b) {
 		t.Fatal("unexported field leaked into the fingerprint")
 	}
-	if Fingerprint(a) == Fingerprint(cfg{Size: 9, scratch: 1}) {
+	if fingerprint.Of(a) == fingerprint.Of(cfg{Size: 9, scratch: 1}) {
 		t.Fatal("exported field change did not change the fingerprint")
 	}
 }
@@ -228,34 +230,43 @@ func TestFingerprintDereferencesPointers(t *testing.T) {
 	type inner struct{ N int }
 	type cfg struct{ P *inner }
 	x, y := &inner{N: 7}, &inner{N: 7}
-	if Fingerprint(cfg{P: x}) != Fingerprint(cfg{P: y}) {
+	if fingerprint.Of(cfg{P: x}) != fingerprint.Of(cfg{P: y}) {
 		t.Fatal("distinct pointers to equal content fingerprint differently")
 	}
 	v := inner{N: 7}
-	if Fingerprint(&v) != Fingerprint(v) {
+	if fingerprint.Of(&v) != fingerprint.Of(v) {
 		t.Fatal("top-level pointer is not dereferenced")
 	}
-	if Fingerprint(cfg{P: x}) == Fingerprint(cfg{}) {
+	if fingerprint.Of(cfg{P: x}) == fingerprint.Of(cfg{}) {
 		t.Fatal("nil pointer aliases a populated one")
 	}
-	if Fingerprint(cfg{P: x}) == Fingerprint(cfg{P: &inner{N: 8}}) {
+	if fingerprint.Of(cfg{P: x}) == fingerprint.Of(cfg{P: &inner{N: 8}}) {
 		t.Fatal("pointee content change did not change the fingerprint")
 	}
 }
 
-// TestFingerprintOpaqueKinds pins the documented caveat: funcs (and
-// channels) render by type and nil-ness only, so two different
-// closures of one type alias. Sweep axes over such fields are
-// rejected by sweep.Space.Check for exactly this reason.
-func TestFingerprintOpaqueKinds(t *testing.T) {
+// TestFingerprintPanicsOnOpaqueKinds pins the plain-data contract: a
+// func or channel has no content to address, so rendering one — nil
+// or not, top-level or in a field — panics naming its type instead of
+// letting two different values alias.
+func TestFingerprintPanicsOnOpaqueKinds(t *testing.T) {
 	type cfg struct{ New func() int }
-	f1 := cfg{New: func() int { return 1 }}
-	f2 := cfg{New: func() int { return 2 }}
-	if Fingerprint(f1) != Fingerprint(f2) {
-		t.Fatal("distinct closures of one type fingerprint differently (addresses leaked)")
-	}
-	if Fingerprint(f1) == Fingerprint(cfg{}) {
-		t.Fatal("nil and non-nil funcs alias")
+	for name, v := range map[string]any{
+		"func field":     cfg{New: func() int { return 1 }},
+		"nil func field": cfg{},
+		"chan":           make(chan int),
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s: fingerprint.Of did not panic", name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, "not plain data") {
+					t.Errorf("%s: panic %q does not name the contract", name, msg)
+				}
+			}()
+			fingerprint.Of(v)
+		}()
 	}
 }
 
@@ -265,7 +276,7 @@ func TestFingerprintOpaqueKinds(t *testing.T) {
 // property that keeps one sweep point's cached cells from being
 // served for another's.
 func TestFingerprintSweepMutationsDistinct(t *testing.T) {
-	base := Fingerprint(model.DefaultAlphaConfig())
+	base := fingerprint.Of(model.DefaultAlphaConfig())
 	seen := map[string]string{"base": base}
 	mutations := map[string]func(*model.AlphaConfig){
 		"ROB":             func(c *model.AlphaConfig) { c.ROB /= 2 },
@@ -280,7 +291,7 @@ func TestFingerprintSweepMutationsDistinct(t *testing.T) {
 	for name, mutate := range mutations {
 		c := model.DefaultAlphaConfig()
 		mutate(&c)
-		fp := Fingerprint(c)
+		fp := fingerprint.Of(c)
 		for prev, prevFP := range seen {
 			if fp == prevFP {
 				t.Errorf("mutation %q fingerprints identically to %q", name, prev)
@@ -293,7 +304,7 @@ func TestFingerprintSweepMutationsDistinct(t *testing.T) {
 func TestFingerprintMapOrderIndependent(t *testing.T) {
 	m1 := map[string]uint64{"a": 1, "b": 2, "c": 3}
 	m2 := map[string]uint64{"c": 3, "b": 2, "a": 1}
-	if Fingerprint(m1) != Fingerprint(m2) {
+	if fingerprint.Of(m1) != fingerprint.Of(m2) {
 		t.Fatal("map fingerprints depend on insertion order")
 	}
 }
@@ -350,12 +361,12 @@ func TestConcurrentMixedKeys(t *testing.T) {
 // and the version prefixes themselves ("run/v1", "sample/v1",
 // "sweep/v1") are pairwise distinct key namespaces.
 func TestSampledKeysDistinctFromFull(t *testing.T) {
-	machine := Fingerprint(model.DefaultAlphaConfig())
-	work := Fingerprint(struct {
+	machine := fingerprint.Of(model.DefaultAlphaConfig())
+	work := fingerprint.Of(struct {
 		Name string
 		Max  uint64
 	}{"gzip", 15_000})
-	plan := Fingerprint(struct{ Period, Warmup, Measure uint64 }{1500, 150, 150})
+	plan := fingerprint.Of(struct{ Period, Warmup, Measure uint64 }{1500, 150, 150})
 
 	full := KeyOf("run/v1", machine, work)
 	sampled := KeyOf("sample/v1", machine, work, plan)
@@ -363,7 +374,7 @@ func TestSampledKeysDistinctFromFull(t *testing.T) {
 		t.Fatal("sampled and full cells share a key")
 	}
 	// Two different plans over the same cell are different addresses.
-	plan2 := Fingerprint(struct{ Period, Warmup, Measure uint64 }{3000, 300, 300})
+	plan2 := fingerprint.Of(struct{ Period, Warmup, Measure uint64 }{3000, 300, 300})
 	if KeyOf("sample/v1", machine, work, plan2) == sampled {
 		t.Fatal("distinct sampling plans share a key")
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/fingerprint"
 	"repro/internal/model"
 	"repro/internal/runner"
 	"repro/internal/simcache"
@@ -115,23 +116,14 @@ func (e *Engine) limited() []core.Workload {
 // CellKey content-addresses one sweep cell: the canonical fingerprint
 // of the machine configuration plus the workload's identity and
 // budget. Mutated configs that differ in any exported field get
-// distinct keys (see simcache.Fingerprint for exactly what the
-// canonical rendering skips).
+// distinct keys (see fingerprint.Of for exactly what the canonical
+// rendering skips).
 func CellKey(cfg any, w core.Workload) simcache.Key {
-	parts := []string{
-		"sweep/v1",
-		simcache.Fingerprint(cfg),
-		simcache.Fingerprint(struct {
-			Name        string
-			FastForward uint64
-			Max         uint64
-			Category    string
-		}{w.Name, w.FastForward, w.MaxInstructions, w.Category}),
-	}
+	parts := []string{"sweep/v1", fingerprint.Of(cfg), w.ID()}
 	// Sampled cells measure a different quantity, so the plan joins
 	// the address; full cells keep their pre-sampling key bytes.
 	if w.Sample != nil {
-		parts = append(parts, "sample", simcache.Fingerprint(*w.Sample))
+		parts = append(parts, "sample", fingerprint.Of(*w.Sample))
 	}
 	return simcache.KeyOf(parts...)
 }

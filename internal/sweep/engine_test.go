@@ -2,10 +2,12 @@ package sweep
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/microbench"
+	"repro/internal/model"
 	"repro/internal/simcache"
 )
 
@@ -164,6 +166,35 @@ func TestEngineRejectsDegeneratePointConfigs(t *testing.T) {
 	_, _, err := e.Run(context.Background(), s, []Point{{0}})
 	if err == nil {
 		t.Error("degenerate config ran without error")
+	}
+}
+
+// TestPageMappingAxis sweeps the page-mapping policy like any other
+// knob: the three policies are three distinct cells, and a value
+// naming no policy fails its cell instead of running. The values are
+// float64, as /v1/sweep decodes them from JSON.
+func TestPageMappingAxis(t *testing.T) {
+	s := &Space{Base: model.DefaultAlphaConfig(),
+		Axes: []Axis{{Name: "map", Field: "Hier.Mapping", Values: []any{0.0, 1.0, 2.0}}}}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine(t)
+	keys := make(map[simcache.Key]bool)
+	for i := range s.Axes[0].Values {
+		cfg, err := s.Config(Point{i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[CellKey(cfg, e.Workloads[0])] = true
+	}
+	if len(keys) != 3 {
+		t.Errorf("three mapping policies gave %d distinct cell keys", len(keys))
+	}
+	bad := &Space{Base: model.DefaultAlphaConfig(),
+		Axes: []Axis{{Name: "map", Field: "Hier.Mapping", Values: []any{3.0}}}}
+	if _, _, err := e.Run(context.Background(), bad, []Point{{0}}); err == nil || !strings.Contains(err.Error(), "names no policy") {
+		t.Errorf("mapping 3 ran: err %v", err)
 	}
 }
 

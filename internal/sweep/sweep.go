@@ -126,11 +126,7 @@ func (s *Space) Size() int {
 // Check validates the space: the base must be a struct, axis names
 // must be unique, every axis field path must resolve to an exported,
 // settable field of the base config, and every axis value must be
-// assignable (or losslessly convertible) to its field. Axes over
-// fingerprint-opaque kinds (funcs, channels) are rejected outright:
-// internal/simcache.Fingerprint renders those by type only, so two
-// different values would alias to the same cache key and a sweep
-// would silently serve one point's results for another.
+// assignable (or losslessly convertible) to its field.
 func (s *Space) Check() error {
 	if s.Base == nil {
 		return fmt.Errorf("sweep: space has no base config")
@@ -165,11 +161,6 @@ func (s *Space) Check() error {
 		f, err := fieldByPath(scratch, a.Field)
 		if err != nil {
 			return fmt.Errorf("sweep: axis %q: %w", a.Name, err)
-		}
-		switch f.Kind() {
-		case reflect.Func, reflect.Chan, reflect.UnsafePointer:
-			return fmt.Errorf("sweep: axis %q: field %q has fingerprint-opaque kind %s; sweeping it would alias distinct points to one cache key",
-				a.Name, a.Field, f.Kind())
 		}
 		for vi, val := range a.Values {
 			if err := assign(f, val); err != nil {

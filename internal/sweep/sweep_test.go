@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/model"
-	"repro/internal/simcache"
 )
 
 func tuningSpace() *Space {
@@ -41,8 +41,6 @@ func TestSpaceCheck(t *testing.T) {
 			Axes: []Axis{{Name: "x", Field: "ROB"}}}, "no values"},
 		{"type mismatch", &Space{Base: model.DefaultAlphaConfig(),
 			Axes: []Axis{{Name: "x", Field: "ROB", Values: []any{"eighty"}}}}, "cannot assign"},
-		{"func field aliases cache keys", &Space{Base: model.DefaultAlphaConfig(),
-			Axes: []Axis{{Name: "x", Field: "NewMapper", Values: []any{nil}}}}, "fingerprint-opaque"},
 		{"non-struct base", &Space{Base: 42,
 			Axes: []Axis{Ints("x", "ROB", 1)}}, "must be a struct"},
 	}
@@ -93,7 +91,7 @@ func TestDistinctPointsDistinctCellKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := simcache.Fingerprint(cfg)
+		fp := fingerprint.Of(cfg)
 		if prev, dup := seen[fp]; dup {
 			t.Fatalf("points %s and %s fingerprint identically", prev, s.Label(p))
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/macrobench"
 	"repro/internal/model"
 	"repro/internal/simcache"
@@ -257,13 +258,13 @@ func TestModelFingerprintsUnchanged(t *testing.T) {
 		cfg  any
 		want string
 	}{
-		"sim-alpha":    {model.DefaultAlphaConfig(), "8690265aa54c5e09301c5285fdb22b82a36e3d027ec262a52eb313fc4a77751f"},
-		"sim-initial":  {model.SimInitialConfig(), "6c89a268d4e7740d11ec8663db3712ca0636c77bb2c6a6fb753ebfcc37b27d21"},
-		"sim-outorder": {model.DefaultRUUConfig(), "59ac47bb634bc23c86fb606647c24aa26ea09d02f810f632edc5de752ef07a42"},
-		"sim-inorder":  {model.DefaultInorderConfig(), "29694f7d2b0720bce6024d8308fa124171b0695913af8c2a0a10180e5f84b404"},
+		"sim-alpha":    {model.DefaultAlphaConfig(), "9b6ad8fb23d00645b92e39b09b9c723ce79021122c383bfd5e22a1e04043297a"},
+		"sim-initial":  {model.SimInitialConfig(), "07387a187b9fe7321c946b61424c8ffb5317ec605f2a6e675ebe7dc8beaddf25"},
+		"sim-outorder": {model.DefaultRUUConfig(), "f04a686861a26c932b72b684c6b591d3cd216a1b6b8ad01ea584575aea4ef603"},
+		"sim-inorder":  {model.DefaultInorderConfig(), "0041f4ce18fd0cd975714557ea7b45958b5f227bd90b72e8dae2fea93ddf38fd"},
 	}
 	for name, d := range digests {
-		got := simcache.KeyOf(simcache.Fingerprint(d.cfg)).String()
+		got := simcache.KeyOf(fingerprint.Of(d.cfg)).String()
 		if got != d.want {
 			t.Errorf("%s config fingerprint changed:\n  got  %s\n  want %s", name, got, d.want)
 		}

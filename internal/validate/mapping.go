@@ -35,21 +35,14 @@ type MappingResult struct {
 // error that exists with *no* modeling bugs at all.
 func MappingStudy(opt Options) (MappingResult, error) {
 	ws := opt.apply(macrobench.Suite())
-	mappers := []func() vm.Mapper{
-		func() vm.Mapper { return &vm.SeqMapper{} },
-		func() vm.Mapper {
-			colors := uint64((2 << 20) / vm.PageSize)
-			return &vm.ColorMapper{Colors: colors}
-		},
-		func() vm.Mapper { return &vm.HashMapper{Seed: 12345} },
-	}
+	mappings := []vm.Mapping{vm.Sequential, vm.Colored, vm.Hashed}
 	// Three mapping policies × the macro suite, every cell concurrent
 	// on the worker pool.
 	var builds []factory
-	for _, nm := range mappers {
+	for _, mp := range mappings {
 		builds = append(builds, func() core.Machine {
 			cfg := model.DefaultAlphaConfig()
-			cfg.NewMapper = nm
+			cfg.Hier.Mapping = mp
 			return model.NewAlpha(cfg)
 		})
 	}
@@ -63,7 +56,7 @@ func MappingStudy(opt Options) (MappingResult, error) {
 		var row MappingRow
 		row.Benchmark = w.Name
 		ipcs := make([]float64, 3)
-		for i := range mappers {
+		for i := range mappings {
 			ipcs[i] = grids[i][w.Name].IPC()
 		}
 		row.SeqIPC, row.ColorIPC, row.HashIPC = ipcs[0], ipcs[1], ipcs[2]

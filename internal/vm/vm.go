@@ -286,6 +286,40 @@ func (h *HashMapper) Frame(vpage uint64) uint64 {
 // Name implements Mapper.
 func (h *HashMapper) Name() string { return "hashed" }
 
+// Mapping names a page-mapping policy as plain configuration data, so
+// configurations that map pages differently differ in content. The
+// zero value is Sequential.
+type Mapping uint8
+
+const (
+	Sequential Mapping = iota // SeqMapper: first-touch order
+	Colored                   // ColorMapper: OS page coloring
+	Hashed                    // HashMapper with the fixed seed 12345
+)
+
+// Check rejects a value naming no policy.
+func (p Mapping) Check() error {
+	if p > Hashed {
+		return fmt.Errorf("vm: page mapping %d names no policy (0 sequential, 1 colored, 2 hashed)", p)
+	}
+	return nil
+}
+
+// Mapper returns a fresh mapper implementing the policy; colors is
+// the Colored policy's color count (ignored by the others). It panics
+// on a value Check rejects.
+func (p Mapping) Mapper(colors uint64) Mapper {
+	switch p {
+	case Sequential:
+		return &SeqMapper{}
+	case Colored:
+		return &ColorMapper{Colors: colors}
+	case Hashed:
+		return &HashMapper{Seed: 12345}
+	}
+	panic(p.Check())
+}
+
 // Translate returns the physical address for vaddr under m.
 func Translate(m Mapper, vaddr uint64) uint64 {
 	return m.Frame(vaddr>>PageBits)<<PageBits | vaddr&PageMask

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/simcache"
+	"repro/internal/fingerprint"
 )
 
 func TestDefaultSpecValid(t *testing.T) {
@@ -25,7 +25,7 @@ func TestGenerateDeterminism(t *testing.T) {
 	spec.ConflictDensity = 2
 
 	base := MustGenerate(spec)
-	want := simcache.Fingerprint(base.Prog)
+	want := fingerprint.Of(base.Prog)
 
 	const workers = 8
 	got := make([]string, workers)
@@ -34,7 +34,7 @@ func TestGenerateDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = simcache.Fingerprint(MustGenerate(spec).Prog)
+			got[i] = fingerprint.Of(MustGenerate(spec).Prog)
 		}(i)
 	}
 	wg.Wait()
@@ -54,7 +54,7 @@ func TestGenerateSpecSensitivity(t *testing.T) {
 	if a.Name() == b.Name() {
 		t.Fatalf("specs differing in seed share name %q", a.Name())
 	}
-	if simcache.Fingerprint(MustGenerate(a).Prog) == simcache.Fingerprint(MustGenerate(b).Prog) {
+	if fingerprint.Of(MustGenerate(a).Prog) == fingerprint.Of(MustGenerate(b).Prog) {
 		t.Errorf("specs differing in seed generated identical programs")
 	}
 }

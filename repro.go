@@ -120,9 +120,7 @@ func FeatureNames() []string { return model.AlphaFeatures() }
 // event trace: one line per retired instruction (fetch/map/issue/
 // complete/retire cycles), the counterpart of SimpleScalar's ptrace.
 func SimAlphaTraced(w io.Writer) Machine {
-	cfg := model.DefaultAlphaConfig()
-	cfg.PipeTracer = model.AlphaPipeTraceWriter(w)
-	return model.NewAlpha(cfg)
+	return model.NewAlphaTraced(model.DefaultAlphaConfig(), w)
 }
 
 // SimAlphaWithout returns sim-alpha with one named feature disabled.
